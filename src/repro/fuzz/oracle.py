@@ -10,12 +10,12 @@ mismatches as data (:class:`Divergence`) instead of assertion text.
 
 Two entry points:
 
-* :func:`diff_engines` — one assembled program through all four
+* :func:`diff_engines` — one assembled program through all three
   engines under both memory models (``timing=False`` functional /
   ``timing=True`` cache+TLB, which also swaps the fast memory system
-  in under the block tiers);
+  in under the fused engine);
 * :func:`diff_minic` — one MiniC source, compiled with the peephole
-  optimizer off and on; each binary goes through the four-engine
+  optimizer off and on; each binary goes through the three-engine
   diff, then the two binaries are compared against each other on the
   *observable* subset (exit, output, trap class, live heap/global
   pages — counters and stack residue legitimately differ between
@@ -23,8 +23,8 @@ Two entry points:
 
 On top of the cross-engine diff, every run is checked against the
 frozen ``engine_stats`` schema (:mod:`repro.obs.schema`) and the
-full-coverage-template invariant: the superblock tier must never
-fall back to decoded closures for memory-path shapes.
+full-coverage-template invariant: the fused engine must never fall
+back to decoded closures for memory-path shapes.
 """
 
 from __future__ import annotations
@@ -40,13 +40,13 @@ from repro.machine.errors import InstructionLimitExceeded, Trap
 from repro.minic.driver import compile_program, mode_for_config
 from repro.obs.schema import validate_engine_stats
 
-ENGINES = ("legacy", "decoded", "blocks", "superblocks")
+ENGINES = ("legacy", "decoded", "superblocks")
 
 #: first page of the stack region; pages at or above it hold dead
 #: call residue and are excluded from optimize-pair comparisons
 STACK_PAGE = (STACK_TOP - STACK_SIZE) >> PAGE_SHIFT
 
-#: instruction shapes the superblock tier fuses with full-coverage
+#: instruction shapes the fused engine covers with source
 #: templates — seeing one in ``closure_fallback_ops`` means the
 #: memory path regressed to closure dispatch
 FUSED_MEMORY_OPS = frozenset({
@@ -183,10 +183,10 @@ def check_invariants(engine: str, outcome: Outcome, timing: bool,
 def diff_engines(program, config_kw: Optional[dict] = None,
                  timings: Tuple[bool, ...] = (False, True),
                  ) -> List[Divergence]:
-    """All four engines × both memory models over one program.
+    """All three engines × both memory models over one program.
 
     ``config_kw`` are :class:`MachineConfig` keywords shared by every
-    run (mode, encoding, temporal, superblock knobs, ...); ``engine``
+    run (mode, encoding, temporal, ...); ``engine``
     and ``timing`` are supplied by the sweep itself.
     """
     config_kw = dict(config_kw or {})
@@ -230,7 +230,7 @@ def diff_minic(source: str,
                config_kw: Optional[dict] = None,
                timings: Tuple[bool, ...] = (False, True),
                ) -> List[Divergence]:
-    """Optimize-off and optimize-on binaries, each four-way diffed,
+    """Optimize-off and optimize-on binaries, each three-way diffed,
     then compared against each other on the observable subset."""
     config_kw = dict(config_kw or {})
     probe = MachineConfig(engine="legacy", **config_kw)
@@ -279,16 +279,14 @@ def config_for_seed(seed: int, level: str) -> dict:
     """The :class:`MachineConfig` keywords one fuzz seed runs under.
 
     Deterministic in the seed (independent of ``REPRO_FUZZ_SEED``,
-    which only overrides *program* generation).  A low superblock
-    threshold makes even small generated programs form traces.
+    which only overrides *program* generation).
     """
     import random
     rng = random.Random(seed * 2654435761 % (1 << 32))
     factory, kw = _variants()[rng.randrange(len(_variants()))]
     config = factory(timing=False, **kw)
     out = {"mode": config.mode, "encoding": config.encoding,
-           "temporal": config.temporal,
-           "superblock_threshold": 4}
+           "temporal": config.temporal}
     if level == "minic" and config.mode.value == "malloc-only":
         # minic instrumentation has no malloc-only flavour worth
         # fuzzing separately; fold into the full-safety draw

@@ -235,18 +235,11 @@ def _cell_config(kind: str, timing: bool, engine: str) -> MachineConfig:
                                    engine=engine)
 
 
-def _knob_descriptor(config: MachineConfig,
-                     optimize: bool = True) -> dict:
-    """Compile/trace knobs that change a cell's results: the
-    ``optimize=`` compiler pass and the superblock trace-formation
-    knobs.  Part of every cache key so a cached cell can never be
-    served across knob (or knob-*default*) changes."""
-    return {
-        "optimize": optimize,
-        "superblock_threshold": config.superblock_threshold,
-        "superblock_max_blocks": config.superblock_max_blocks,
-        "superblock_call_depth": config.superblock_call_depth,
-    }
+def _knob_descriptor(optimize: bool = True) -> dict:
+    """Compile knobs that change a cell's results: the ``optimize=``
+    compiler pass.  Part of every cache key so a cached cell can
+    never be served across knob (or knob-*default*) changes."""
+    return {"optimize": optimize}
 
 
 def cell_descriptor(workload: str, kind: str, timing: bool,
@@ -262,7 +255,7 @@ def cell_descriptor(workload: str, kind: str, timing: bool,
         "timing": False if kind == KIND_OBJTABLE else timing,
         "engine": engine,
     }
-    descr.update(_knob_descriptor(_cell_config(kind, timing, engine)))
+    descr.update(_knob_descriptor())
     return descr
 
 
@@ -392,7 +385,7 @@ def _objtable_descriptor(name: str, fraction: Optional[float],
         "fraction": fraction,
         "engine": engine,
     }
-    descr.update(_knob_descriptor(MachineConfig(engine=engine)))
+    descr.update(_knob_descriptor())
     return descr
 
 
@@ -433,7 +426,7 @@ def _tag_cache_descriptor(name: str, size: int, encoding: str,
         "encoding": encoding,
         "engine": engine,
     }
-    descr.update(_knob_descriptor(MachineConfig(engine=engine)))
+    descr.update(_knob_descriptor())
     return descr
 
 
@@ -522,8 +515,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the on-disk cache")
     parser.add_argument("--engine", default=ENGINE_SUPERBLOCKS,
-                        help="execution engine "
-                             "(superblocks|blocks|decoded|legacy)")
+                        choices=ENGINES, help="execution engine")
     parser.add_argument("--sweep",
                         choices=("ccured", "objtable", "tagcache"),
                         default=None,
@@ -544,9 +536,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.obs:
         os.environ[OBS_ENV] = args.obs
 
-    if args.engine not in ENGINES:
-        parser.error("unknown engine %r (have: %s)"
-                     % (args.engine, ", ".join(ENGINES)))
     for name in args.workloads or ():
         if name not in WORKLOADS:
             parser.error("unknown workload %r (have: %s)"

@@ -44,8 +44,7 @@ from repro.harness.parallel import (
     _tag_cache_descriptor,
 )
 from repro.harness.runner import source_digest
-from repro.machine.config import (ENGINE_SUPERBLOCKS, ENGINES,
-                                  MachineConfig)
+from repro.machine.config import ENGINE_SUPERBLOCKS, ENGINES
 from repro.workloads.registry import WORKLOADS
 
 #: registered sweep kinds (the validation error lists these)
@@ -110,7 +109,7 @@ def _ccured_descriptor(name: str, fraction: Optional[float]) -> dict:
         "workload": name,
         "fraction": fraction,
     }
-    descr.update(_knob_descriptor(MachineConfig()))
+    descr.update(_knob_descriptor())
     return descr
 
 

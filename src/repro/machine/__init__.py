@@ -15,7 +15,6 @@ from repro.machine.errors import (
     HaltSignal,
 )
 from repro.machine.config import (
-    ENGINE_BLOCKS,
     ENGINE_DECODED,
     ENGINE_LEGACY,
     ENGINE_SUPERBLOCKS,
@@ -40,7 +39,6 @@ __all__ = [
     "AbortError",
     "InstructionLimitExceeded",
     "HaltSignal",
-    "ENGINE_BLOCKS",
     "ENGINE_DECODED",
     "ENGINE_LEGACY",
     "ENGINE_SUPERBLOCKS",

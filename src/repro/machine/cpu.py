@@ -34,7 +34,6 @@ from repro.layout import (
     to_signed,
 )
 from repro.machine.config import (
-    ENGINE_BLOCKS,
     ENGINE_DECODED,
     ENGINE_SUPERBLOCKS,
     MachineConfig,
@@ -78,8 +77,8 @@ class RunResult:
         self.hb_stats = cpu.hb.stats if cpu.hb else None
         self.mem_stats = cpu.memsys.stats if cpu.memsys else None
         self.setbound_uops = cpu.setbound_count
-        #: engine-introspection snapshot (traces formed, side-exit
-        #: rate, fallback single-steps, ...); ``None`` for engines
+        #: engine-introspection snapshot (block dispatches, fallback
+        #: single-steps, ...); ``None`` for engines
         #: that record none — the key schema per tier is frozen in
         #: repro.obs.schema
         self.engine_stats = getattr(cpu, "engine_stats", None)
@@ -172,7 +171,7 @@ class CPU:
         self.pc = program.entry
 
         #: per-run phase timers (decode / cfg_fusion /
-        #: trace_formation / probe_compile / execute); snapshot
+        #: probe_compile / execute); snapshot
         #: travels on RunResult.phases
         self.timers = PhaseTimers()
 
@@ -183,11 +182,10 @@ class CPU:
             params = cache_params or CacheParams()
             if cache_params is None:
                 params.tag_cache_size = encoding.tag_cache_size
-            # the block-fusion engines pair with the fast timing
-            # model; both models are counter-identical (tests/caches)
+            # the fused engine pairs with the fast timing model;
+            # both models are counter-identical (tests/caches)
             memsys_cls = (FastMemorySystem
-                          if self.config.engine in (ENGINE_BLOCKS,
-                                                    ENGINE_SUPERBLOCKS)
+                          if self.config.engine == ENGINE_SUPERBLOCKS
                           else MemorySystem)
             # constructing the fast model compiles its per-geometry
             # probe sources (process-cached: later CPUs re-enter in
@@ -258,13 +256,12 @@ class CPU:
         """Execute until ``halt``; traps raise annotated exceptions.
 
         Dispatches to the engine selected by ``config.engine``: the
-        superblock trace engine (default), the basic-block fusion
-        engine, the pre-decoded closure-threaded engine, or the
-        legacy per-instruction dispatch loop.  All are bit-identical
-        in results and trap behaviour.  With ``config.obs_events``
-        set, the run's manifest, statistics and phase times are
-        emitted as ``run_start``/``run_end`` (or ``run_abort``)
-        events around the engine's own event stream.
+        fused basic-block engine (default), the pre-decoded
+        closure-threaded engine, or the legacy per-instruction
+        dispatch loop.  All are bit-identical in results and trap
+        behaviour.  With ``config.obs_events`` set, the run's
+        manifest, statistics and phase times are emitted as
+        ``run_start``/``run_end`` (or ``run_abort``) events.
         """
         obs = self.obs
         if obs is None:
@@ -297,9 +294,6 @@ class CPU:
             if self.config.engine == ENGINE_DECODED:
                 from repro.machine.decode import execute_decoded
                 return execute_decoded(self)
-            if self.config.engine == ENGINE_BLOCKS:
-                from repro.machine.blocks import execute_blocks
-                return execute_blocks(self)
         return self._run_legacy()
 
     def _run_legacy(self) -> RunResult:

@@ -1,8 +1,8 @@
 """Run-level observability: counters, phase timers, event traces.
 
 The simulator's engine ladder is fast enough that the next
-regressions will be *silent* — a demoted trace, a cold fusion-plan
-cache or a probe-shape miss shows up only as a fuzzy wall-clock
+regressions will be *silent* — a closure-fallback shape, a cold
+fusion-plan cache or a probe-shape miss shows up only as a fuzzy wall-clock
 delta.  This package is the introspection substrate that makes such
 regressions attributable after the fact:
 
@@ -11,15 +11,14 @@ regressions attributable after the fact:
     cheap always-on counters with snapshot/diff semantics, plus
     :class:`~repro.obs.metrics.PhaseTimers` — monotonic wall-clock
     accumulators the engines charge per pipeline phase (decode,
-    CFG/fusion, trace formation, probe compilation, execution).
+    CFG/fusion, probe compilation, execution).
 
 ``repro.obs.events``
     An opt-in buffered JSONL span/event emitter
     (:class:`~repro.obs.events.EventLog`), enabled per run through
     ``MachineConfig(obs_events=...)``.  Off by default; when on it
-    records run manifests, trace-formation events, limit demotions,
-    per-trace dispatch profiles and side-exit heatmap counts at under
-    2% timed overhead (gated in CI).
+    records run manifests, result statistics, phase times and engine
+    stats at under 2% timed overhead (gated in CI).
 
 ``repro.obs.manifest``
     The run manifest — knobs, engine, cache geometry, git sha, host —
@@ -32,8 +31,9 @@ regressions attributable after the fact:
     execution tier, with a validator the schema test drives.
 
 ``repro.obs.report``
-    ``python -m repro.obs.report`` — renders top-N hot traces,
-    side-exit heatmaps and phase-time breakdowns from an obs JSONL,
+    ``python -m repro.obs.report`` — renders per-run results,
+    phase-time breakdowns and closure-fallback shapes from an obs
+    JSONL,
     and A/B diffs of two runs or two ``BENCH_engine.json`` records.
 """
 

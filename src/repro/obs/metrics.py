@@ -94,10 +94,8 @@ class PhaseTimers:
 
     The engines charge the canonical phases ``decode`` (closure
     specialization + env binding), ``cfg_fusion`` (block discovery
-    and template fusion, including warm-plan trace rebinding),
-    ``trace_formation`` (superblock chain growth + trace closure
-    generation; nested *inside* ``execute`` because formation
-    happens at threshold crossings mid-run), ``probe_compile``
+    and template fusion, or re-binding a cached fusion plan),
+    ``probe_compile``
     (memory-system construction, where per-geometry probe sources
     compile) and ``execute`` (the dispatch loop, wall-clock, entry
     to exit).  Nothing enforces that set — ad-hoc phases time fine —
@@ -127,17 +125,17 @@ class PhaseTimers:
         return dict(self.seconds)
 
     def total(self) -> float:
-        """Sum of all phase seconds (phases may nest; see class doc —
-        ``trace_formation`` time is also inside ``execute``)."""
+        """Sum of all phase seconds (phases may nest; see
+        :func:`execute_net`)."""
         return sum(self.seconds.values())
 
 
 def execute_net(phases: Optional[Dict[str, float]]) -> float:
-    """Execution-loop seconds net of nested trace formation.
+    """Execution-loop seconds net of nested phases.
 
-    ``execute`` is measured around the whole dispatch loop;
-    superblock trace formation runs *inside* that loop at threshold
-    crossings, so subtracting it out gives the pure dispatch time.
+    ``execute`` is measured around the whole dispatch loop.  Records
+    that charged a ``trace_formation`` phase timed it *inside* that
+    loop, so subtracting it out gives the pure dispatch time.
     """
     if not phases:
         return 0.0

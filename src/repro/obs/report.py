@@ -6,21 +6,26 @@ Usage::
     python -m repro.obs.report diff A B [--top N]
     python -m repro.obs.report fuzz FUZZ.jsonl [--top N]
     python -m repro.obs.report service SVC.jsonl [--top N]
+    python -m repro.obs.report bench BENCH_engine.json
 
 ``summary`` renders, from one obs JSONL (any number of runs — e.g. a
 whole Olden sweep appended into one file):
 
-* a per-run result table (cycles, instructions, traces, side-exit
-  rate),
+* a per-run result table (cycles, instructions, block dispatches,
+  fallback single-steps),
 * a phase-time breakdown (decode / probe compile / CFG+fusion /
-  trace formation / execute),
-* the top-N hot traces by dispatch count with their pc ranges,
-* a side-exit heatmap (which branch pcs leak off-trace, with bars).
+  execute),
+* the top-N instruction shapes the fused engine still runs as
+  decoded closures (closure fallbacks), summed over the runs.
 
 ``diff`` A/B-compares two artifacts of the *same* kind: either two
 obs JSONL files (per-label cycles/instructions/execute-seconds
 deltas) or two ``results/BENCH_engine.json`` records (per-engine
-sweep seconds, speedups and trace stats deltas).
+sweep seconds, speedups and cold-process deltas).
+
+``bench`` renders the engine-ladder table of one
+``results/BENCH_engine.json`` record as Markdown (the docs' engine
+tables are this output).
 
 ``fuzz`` renders a ``python -m repro.fuzz`` result stream: programs
 run per level/config, outcome-status and trap-class distributions,
@@ -45,8 +50,7 @@ from repro.obs.events import read_events, run_label, split_runs
 from repro.obs.metrics import execute_net
 
 #: phase columns of the breakdown table, in pipeline order
-PHASES = ("decode", "probe_compile", "cfg_fusion",
-          "trace_formation", "execute")
+PHASES = ("decode", "probe_compile", "cfg_fusion", "execute")
 
 
 # -- artifact loading --------------------------------------------------------
@@ -74,16 +78,13 @@ def load_artifact(path: str):
 class RunSummary:
     """Everything the renderers need from one run's event group."""
 
-    __slots__ = ("label", "stats", "phases", "engine_stats",
-                 "trace_profiles", "side_exit_profiles", "aborted")
+    __slots__ = ("label", "stats", "phases", "engine_stats", "aborted")
 
     def __init__(self, run: List[dict]):
         self.label = run_label(run)
         self.stats: Dict = {}
         self.phases: Dict[str, float] = {}
         self.engine_stats: Optional[dict] = None
-        self.trace_profiles: List[dict] = []
-        self.side_exit_profiles: List[dict] = []
         self.aborted = False
         for event in run:
             ev = event.get("ev")
@@ -95,10 +96,6 @@ class RunSummary:
                 self.aborted = True
                 self.stats = event
                 self.phases = event.get("phases") or {}
-            elif ev == "trace_profile":
-                self.trace_profiles.append(event)
-            elif ev == "side_exit_profile":
-                self.side_exit_profiles.append(event)
 
 
 def summarize(events: List[dict]) -> List[RunSummary]:
@@ -110,8 +107,8 @@ def summarize(events: List[dict]) -> List[RunSummary]:
 # -- summary tables ----------------------------------------------------------
 
 def runs_table(runs: List[RunSummary]) -> str:
-    headers = ["run", "exit", "instructions", "cycles", "traces",
-               "trace-disp", "side-exit-rate"]
+    headers = ["run", "exit", "instructions", "cycles", "block-disp",
+               "fallback-steps"]
     rows = []
     for run in runs:
         stats = run.stats
@@ -122,10 +119,8 @@ def runs_table(runs: List[RunSummary]) -> str:
                                                       "?")),
             str(stats.get("instructions", "?")),
             str(stats.get("cycles", "?")),
-            str(es.get("traces_formed", "-")),
-            str(es.get("trace_dispatches", "-")),
-            ("%.3f" % es["side_exit_rate"]
-             if "side_exit_rate" in es else "-"),
+            str(es.get("block_dispatches", "-")),
+            str(es.get("fallback_steps", "-")),
         ])
     return format_table(headers, rows, "Runs")
 
@@ -133,7 +128,7 @@ def runs_table(runs: List[RunSummary]) -> str:
 def phase_table(runs: List[RunSummary]) -> str:
     """Phase-time breakdown, one row per run plus an aggregate.
 
-    ``execute`` is shown net of nested trace formation (see
+    ``execute`` is shown net of any nested phase (see
     :func:`repro.obs.metrics.execute_net`); the ``total`` column is
     the non-overlapping sum.
     """
@@ -156,60 +151,22 @@ def phase_table(runs: List[RunSummary]) -> str:
         rows.append(["TOTAL"]
                     + ["%.4fs" % agg[phase] for phase in PHASES]
                     + ["%.4fs" % sum(agg.values())])
-    return format_table(headers, rows,
-                        "Phase times (execute net of trace "
-                        "formation)")
+    return format_table(headers, rows, "Phase times")
 
 
-def hot_traces_table(runs: List[RunSummary], top: int = 10) -> str:
-    """Top-N traces by dispatch count across every run."""
-    entries = []
+def fallback_table(runs: List[RunSummary], top: int = 10) -> str:
+    """Top-N closure-fallback shapes: static instruction sites per
+    opcode the fused engine runs as decoded closures, summed over
+    every run."""
+    sites: Dict[str, int] = {}
     for run in runs:
-        for profile in run.trace_profiles:
-            entries.append((profile.get("dispatches", 0), run.label,
-                            profile))
-    entries.sort(key=lambda item: (-item[0], item[1],
-                                   item[2].get("head", 0)))
-    headers = ["run", "head", "pc-range", "blocks", "instrs",
-               "dispatches", "side-exits", "cross-call"]
-    rows = []
-    for dispatches, label, profile in entries[:top]:
-        rows.append([
-            label,
-            str(profile.get("head", "?")),
-            "%s..%s" % (profile.get("pc_lo", "?"),
-                        profile.get("pc_hi", "?")),
-            str(profile.get("blocks", "?")),
-            str(profile.get("instrs", "?")),
-            str(dispatches),
-            str(profile.get("side_exits", 0)),
-            "yes" if profile.get("has_call") else "no",
-        ])
-    return format_table(headers, rows,
-                        "Hot traces (top %d by dispatches)" % top)
-
-
-def side_exit_table(runs: List[RunSummary], top: int = 15,
-                    width: int = 24) -> str:
-    """Side-exit heatmap: which branch pcs leak off-trace."""
-    entries = []
-    for run in runs:
-        for profile in run.side_exit_profiles:
-            count = profile.get("count", 0)
-            if count:
-                entries.append((count, run.label, profile))
-    entries.sort(key=lambda item: (-item[0], item[1]))
-    peak = entries[0][0] if entries else 1
-    headers = ["run", "trace-head", "branch-pc", "exits", "heat"]
-    rows = []
-    for count, label, profile in entries[:top]:
-        bar = "#" * max(1, int(round(width * count / peak)))
-        rows.append([label, str(profile.get("head", "?")),
-                     str(profile.get("branch_pc", "?")),
-                     str(count), bar])
-    return format_table(headers, rows,
-                        "Side-exit heatmap (top %d branch sites)"
-                        % top)
+        for op, count in ((run.engine_stats or {})
+                          .get("closure_fallback_ops") or {}).items():
+            sites[op] = sites.get(op, 0) + count
+    entries = sorted(sites.items(), key=lambda item: (-item[1], item[0]))
+    rows = [[op, str(count)] for op, count in entries[:top]]
+    return format_table(["op", "sites"], rows,
+                        "Closure fallbacks (top %d ops)" % top)
 
 
 def render_summary(events: List[dict], top: int = 10) -> str:
@@ -217,10 +174,8 @@ def render_summary(events: List[dict], top: int = 10) -> str:
     runs = summarize(events)
     if not runs:
         return "no runs recorded (is obs_events enabled?)"
-    sections = [runs_table(runs), phase_table(runs),
-                hot_traces_table(runs, top),
-                side_exit_table(runs)]
-    return "\n\n".join(sections)
+    return "\n\n".join([runs_table(runs), phase_table(runs),
+                        fallback_table(runs, top)])
 
 
 # -- fuzz --------------------------------------------------------------------
@@ -469,18 +424,17 @@ def diff_bench(a: dict, b: dict) -> str:
                      else "n/a"])
     sections.append(format_table(["speedup", "A", "B", "delta"],
                                  rows, "timed speedups"))
+    ca = a.get("cold") or {}
+    cb = b.get("cold") or {}
     rows = []
-    ta = a.get("trace_stats") or {}
-    tb = b.get("trace_stats") or {}
-    for name in ("traces_formed", "mean_trace_blocks",
-                 "cross_call_traces", "ret_mispredict_rate"):
-        va, vb = ta.get(name), tb.get(name)
-        if va is None and vb is None:
+    for name in sorted(set(ca) | set(cb)):
+        va, vb = ca.get(name), cb.get(name)
+        if isinstance(va, dict) or isinstance(vb, dict):
             continue
         rows.append([name, str(va), str(vb)])
     if rows:
-        sections.append(format_table(["trace-stat", "A", "B"], rows,
-                                     "Olden trace stats"))
+        sections.append(format_table(["cold", "A", "B"], rows,
+                                     "Cold-process sweep"))
     oa = (a.get("obs_overhead") or {}).get("ratio")
     ob = (b.get("obs_overhead") or {}).get("ratio")
     if oa is not None or ob is not None:
@@ -489,6 +443,38 @@ def diff_bench(a: dict, b: dict) -> str:
             [["events-off/on", str(oa), str(ob)]],
             "Instrumentation overhead"))
     return "\n\n".join(sections)
+
+
+#: engine columns of the bench table, slowest first
+BENCH_ENGINES = ("legacy", "decoded", "superblocks")
+
+
+def render_bench(record: dict) -> str:
+    """Markdown engine-ladder table of one ``BENCH_engine.json``:
+    warm functional and timed sweep seconds per engine, plus the
+    cold-process HardBound timed sweep, each with the fused engine's
+    speedup over decoded."""
+    def secs(value):
+        return "%.2f s" % value if value is not None else "-"
+
+    rows = []
+    for sweep in ("functional", "timed"):
+        seconds = (record.get("seconds") or {}).get(sweep) or {}
+        ratio = ((record.get("speedups") or {}).get(sweep)
+                 or {}).get("fast_vs_decoded")
+        rows.append(["warm, %s" % sweep]
+                    + [secs(seconds.get(e)) for e in BENCH_ENGINES]
+                    + ["%.2fx" % ratio if ratio is not None else "-"])
+    cold = record.get("cold")
+    if cold:
+        rows.append(["cold process, HardBound timed", "-",
+                     secs(cold["decoded_seconds"]),
+                     secs(cold["fast_seconds"]),
+                     "%.2fx" % cold["fast_vs_decoded"]])
+    headers = (["Olden sweep"] + list(BENCH_ENGINES)
+               + ["superblocks vs decoded"])
+    return "\n".join("| %s |" % " | ".join(row) for row in
+                     [headers, ["---"] * len(headers)] + rows)
 
 
 def _by_label(runs: List[RunSummary]) -> Dict[str, RunSummary]:
@@ -543,22 +529,31 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="python -m repro.obs.report",
         description="Render obs JSONL traces and bench-record diffs")
     parser.add_argument("command", nargs="?", default="summary",
-                        help='"summary" (default), "diff", "fuzz" '
-                             'or "service"; a bare path is treated '
-                             'as summary PATH')
+                        help='"summary" (default), "diff", "fuzz", '
+                             '"service" or "bench"; a bare path is '
+                             'treated as summary PATH')
     parser.add_argument("paths", nargs="*",
                         help="one JSONL for summary/fuzz/service; "
-                             "two artifacts for diff")
+                             "one bench record for bench; two "
+                             "artifacts for diff")
     parser.add_argument("--top", type=int, default=10,
-                        help="rows in the hot-trace / divergence / "
-                             "requeue tables")
+                        help="rows in the closure-fallback / "
+                             "divergence / requeue tables")
     args = parser.parse_args(argv)
 
     command = args.command
     paths = list(args.paths)
-    if command not in ("summary", "diff", "fuzz", "service"):
+    if command not in ("summary", "diff", "fuzz", "service", "bench"):
         paths.insert(0, command)  # bare-path shorthand
         command = "summary"
+    if command == "bench":
+        if len(paths) != 1:
+            parser.error("bench takes exactly one bench record path")
+        kind, data = load_artifact(paths[0])
+        if kind != "bench":
+            parser.error("%s is not a bench record" % paths[0])
+        print(render_bench(data))
+        return 0
     if command in ("summary", "fuzz", "service"):
         if len(paths) != 1:
             parser.error("%s takes exactly one JSONL path" % command)

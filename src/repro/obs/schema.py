@@ -1,7 +1,7 @@
 """The frozen ``RunResult.engine_stats`` key schema, all tiers.
 
 ``engine_stats`` is the cross-layer introspection contract: the
-superblock engine writes it, the harness caches and pickles it, the
+fused engine writes it, the harness caches and pickles it, the
 bench record embeds it, and the report CLI renders it.  A key that
 appears or disappears silently would desynchronize all of those —
 so the schema is frozen *here*, documented in
@@ -11,9 +11,9 @@ without updating this module (and the doc) fails the build.
 
 Per tier:
 
-* ``superblocks`` — the full trace-introspection record
+* ``superblocks`` — the fused engine's record
   (:data:`SUPERBLOCKS_KEYS`);
-* ``blocks`` / ``decoded`` / ``legacy`` — record no engine stats;
+* ``decoded`` / ``legacy`` — record no engine stats;
   ``RunResult.engine_stats`` is ``None`` (the dispatch loops carry
   no per-engine state worth snapshotting, and keeping them
   stat-free keeps their loops minimal).
@@ -26,27 +26,20 @@ from typing import Optional
 #: every key of a superblocks-tier ``engine_stats`` dict, frozen.
 SUPERBLOCKS_KEYS = frozenset({
     "engine",               # literal "superblocks"
-    "traces_formed",        # traces built this run (plan-cache
-                            # installs included)
-    "mean_trace_blocks",    # mean basic blocks per formed trace
-    "trace_dispatches",     # trace-closure entries
-    "block_dispatches",     # block-tier entries (profiling tallies)
-    "side_exits",           # off-trace branch directions taken
-    "side_exit_rate",       # side_exits / trace_dispatches
+    "block_dispatches",     # fused block-closure calls
     "fallback_steps",       # single-stepped instructions
     "closure_fallback_ops", # {op_name: count} residual closure calls
-    "cross_call_traces",    # formed traces that inlined >= 1 call
-    "ret_mispredicts",      # inlined-ret prediction guard misses
-    "ret_mispredict_rate",  # ret_mispredicts / trace_dispatches
-    "limit_demotions",      # trace dispatches demoted to the base
-                            # block because the whole-trace charge
-                            # would overrun the instruction limit
+    # the engine forms no traces: these stay, pinned to 0, for
+    # readers of the trace counters
+    "traces_formed",
+    "trace_dispatches",
+    "mean_trace_blocks",
+    "side_exits",
 })
 
 #: tier name → frozen key set (``None`` = the tier records no stats)
 ENGINE_STATS_KEYS = {
     "superblocks": SUPERBLOCKS_KEYS,
-    "blocks": None,
     "decoded": None,
     "legacy": None,
 }

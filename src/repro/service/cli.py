@@ -24,6 +24,7 @@ import subprocess
 import sys
 import time
 
+from repro.machine.config import ENGINE_SUPERBLOCKS, ENGINES
 from repro.service.client import STATE_DIR, ServiceError, connect, \
     state_info
 from repro.service.daemon import DaemonServer
@@ -206,7 +207,8 @@ def main(argv=None) -> int:
 
     bench = sub.add_parser(
         "bench", help="time a cold-then-warm Olden sweep")
-    bench.add_argument("--engine", default="superblocks")
+    bench.add_argument("--engine", default=ENGINE_SUPERBLOCKS,
+                       choices=ENGINES)
     bench.set_defaults(func=cmd_bench)
 
     args = parser.parse_args(argv)

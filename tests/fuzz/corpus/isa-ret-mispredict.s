@@ -1,6 +1,6 @@
-; alternating callees from one loop: a cross-call trace inlines one
-; call edge and its predicted ret, so every other iteration takes
-; the ret-mispredict guard — counters must still match exactly
+; alternating callees from one loop: the call site's return target
+; is reached from a different callee every other iteration, so the
+; counters of every engine must still match exactly
 main:
     mov r5, 0
     mov r6, 8

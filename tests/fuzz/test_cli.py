@@ -56,7 +56,7 @@ def test_write_divergences_creates_corpus_entries(tmp_path):
         "seed": 4, "level": "isa", "status": "exit", "trap": None,
         "ok": False, "config": {"mode": "off"},
         "program": "main:\n    mov r1, 1\n    halt r1\n",
-        "divergences": [{"kind": "engine", "engine": "blocks",
+        "divergences": [{"kind": "engine", "engine": "decoded",
                          "timing": False, "fields": ["cycles"],
                          "detail": "", "optimize": None}],
     }]
@@ -65,7 +65,7 @@ def test_write_divergences_creates_corpus_entries(tmp_path):
     meta = json.loads((tmp_path / "corpus" /
                        "isa-seed4.json").read_text())
     assert meta["seed"] == 4
-    assert meta["divergences"][0]["engine"] == "blocks"
+    assert meta["divergences"][0]["engine"] == "decoded"
 
 
 def test_main_exit_zero_and_report_renders(tmp_path, capsys):

@@ -1,10 +1,10 @@
 """Replay every committed corpus entry through the full oracle.
 
-``tests/fuzz/corpus/`` holds historically-tricky program shapes
-(mid-trace traps, ret-mispredict stress, instruction-limit
-demotion) plus any minimized divergence a fuzzing session commits:
-each entry must diff clean across all four engines × both memory
-models forever after.
+``tests/fuzz/corpus/`` holds tricky program shapes (a bounds trap
+inside a hot loop, one call site alternating between callees, an
+instruction limit that fires mid-block) plus any minimized
+divergence a fuzzing session commits: each entry must diff clean
+across all three engines × both memory models forever after.
 """
 
 import os

@@ -79,11 +79,11 @@ class TestMinimizeResult:
         result = FuzzResult(seed=2, level="isa", status="trap",
                             trap="DivideByZeroError",
                             divergences=[Divergence(
-                                "engine", "blocks", False, ["pc"])],
+                                "engine", "decoded", False, ["pc"])],
                             program=text, config={})
 
         def oracle(candidate):
-            return ([Divergence("engine", "blocks", False, ["pc"])]
+            return ([Divergence("engine", "decoded", False, ["pc"])]
                     if traps_divide(candidate) else [])
 
         small = minimize_result(result, oracle=oracle)

@@ -156,6 +156,6 @@ class TestFuzzOne:
 
 
 def test_divergence_serializes():
-    d = Divergence("engine", "blocks", True, ["cycles"], "detail")
-    assert dataclasses.asdict(d)["engine"] == "blocks"
-    assert "blocks" in str(d)
+    d = Divergence("engine", "decoded", True, ["cycles"], "detail")
+    assert dataclasses.asdict(d)["engine"] == "decoded"
+    assert "decoded" in str(d)

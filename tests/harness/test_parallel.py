@@ -149,9 +149,9 @@ class TestShardedMatrix:
         assert "obs" not in repr(descriptor)
 
     def test_cell_results_carry_their_manifest(self):
-        result = run_cell(("treeadd", "intern11", False, "blocks"))
+        result = run_cell(("treeadd", "intern11", False, "decoded"))
         manifest = pickle.loads(pickle.dumps(result)).manifest
-        assert manifest["engine"] == "blocks"
+        assert manifest["engine"] == "decoded"
         assert manifest["encoding"] == "intern11"
         assert manifest["timing"] is False
         summary = run_cell(("treeadd", "objtable", False, "decoded"))

@@ -1,4 +1,5 @@
-"""Unit tests for the basic-block discovery pass and fusion engine."""
+"""Unit tests for the basic-block discovery pass and the fused
+block engine (``engine="superblocks"``)."""
 
 import pytest
 
@@ -133,15 +134,17 @@ class TestBlockExecution:
             halt r0
         """)
         results = {}
-        for engine in ("legacy", "blocks"):
+        for engine in ("legacy", "superblocks"):
             cpu = CPU(program, MachineConfig.plain(
                 timing=False, engine=engine))
             result = cpu.run()
             results[engine] = (result.exit_code, result.instructions,
                                cpu.pc)
-        assert results["blocks"] == results["legacy"]
+        assert results["superblocks"] == results["legacy"]
         # entry skipped the mov, so r0 counts up from its initial 0
-        assert results["blocks"][0] == 2
+        assert results["superblocks"][0] == 2
+        # the three instructions after the entry point ran one by one
+        assert cpu.engine_stats["fallback_steps"] == 3
 
     def test_functional_loop_result(self):
         program = assemble("""
@@ -155,15 +158,18 @@ class TestBlockExecution:
             halt r1
         """)
         cpu = CPU(program, MachineConfig.plain(timing=False,
-                                               engine="blocks"))
+                                               engine="superblocks"))
         result = cpu.run()
         assert result.exit_code == 300
         assert result.instructions == 2 + 3 * 100 + 1
+        # entry block, 100 loop iterations, the halt block
+        assert result.engine_stats["block_dispatches"] == 102
+        assert result.engine_stats["fallback_steps"] == 0
 
     def test_blocks_engine_uses_fast_memory_system(self):
         from repro.caches.fast import FastMemorySystem
         program = assemble("main:\n  halt 0\n")
-        cpu = CPU(program, MachineConfig.hardbound(engine="blocks",
+        cpu = CPU(program, MachineConfig.hardbound(engine="superblocks",
                                                    timing=True))
         assert isinstance(cpu.memsys, FastMemorySystem)
         cpu_decoded = CPU(program, MachineConfig.hardbound(
@@ -173,14 +179,17 @@ class TestBlockExecution:
     def test_engine_name_is_validated(self):
         with pytest.raises(ValueError):
             MachineConfig(engine="warp")
+        with pytest.raises(ValueError,
+                           match="legacy, decoded, superblocks"):
+            MachineConfig(engine="blocks")
 
 
 class TestFusedMemoryTemplates:
-    """The PR 3 memory templates: word load/store bodies generated
-    into the block closures (segment check + flat-arena access + tag
+    """The word memory templates: load/store bodies generated into
+    the block closures (segment check + flat-arena access + tag
     probe + timing charge), bit-identical to the other engines."""
 
-    ENGINES = ("legacy", "decoded", "blocks")
+    ENGINES = ("legacy", "decoded", "superblocks")
 
     def run_all(self, program, mode_fn, timing):
         results = {}
@@ -190,9 +199,9 @@ class TestFusedMemoryTemplates:
             results[engine] = (r.exit_code, r.instructions, r.uops,
                                r.stall_cycles, r.cycles,
                                cpu.memory.nonzero_pages())
-        assert results["blocks"] == results["legacy"]
+        assert results["superblocks"] == results["legacy"]
         assert results["decoded"] == results["legacy"]
-        return results["blocks"]
+        return results["superblocks"]
 
     @pytest.mark.parametrize("timing", (False, True))
     def test_indexed_forms_fuse_identically(self, timing):
@@ -234,7 +243,7 @@ class TestFusedMemoryTemplates:
                 cpu.run()
             traps[engine] = (str(exc.value), exc.value.pc,
                              cpu.icount, cpu.pc)
-        assert traps["blocks"] == traps["legacy"]
+        assert traps["superblocks"] == traps["legacy"]
         assert traps["decoded"] == traps["legacy"]
 
     @pytest.mark.parametrize("timing", (False, True))
@@ -275,7 +284,7 @@ class TestFusedMemoryTemplates:
                 cpu.run()
             traps[engine] = (str(exc.value), exc.value.pc,
                              cpu.icount, cpu.pc)
-        assert traps["blocks"] == traps["legacy"]
+        assert traps["superblocks"] == traps["legacy"]
         assert traps["decoded"] == traps["legacy"]
 
     def test_memory_templates_emitted(self):
@@ -292,7 +301,7 @@ class TestFusedMemoryTemplates:
             halt r6
         """)
         CPU(program, MachineConfig.hardbound(
-            engine="blocks", timing=True)).run()
+            engine="superblocks", timing=True)).run()
         shapes = {shape for sig in blocks_mod._fuse_cache
                   for shape in sig}
         assert any(shape.startswith("ldhb_") for shape in shapes)

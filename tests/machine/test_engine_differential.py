@@ -1,15 +1,15 @@
 """Differential testing: every execution engine against the legacy one.
 
-The decoded closure engine, the basic-block fusion engine and the
-superblock trace engine must be *bit-identical* to the legacy
+The decoded closure engine and the fused block engine
+(``superblocks``) must be *bit-identical* to the legacy
 interpreter: same exit codes, program output, instruction/µop/cycle
 counts, same HardBound and memory-system statistics, the same final
 memory image, and the same traps (type, message, faulting pc) on
 every violation.  These tests run real Olden workloads and the
-violation scenarios under all four engines and compare everything
+violation scenarios under all three engines and compare everything
 observable.  (``tests/machine/test_superblocks.py`` extends the
-four-way chain over the full workload registry and the trace-tier
-edge cases.)
+chain over the full workload registry and the fused engine's edge
+cases.)
 """
 
 import pytest
@@ -30,8 +30,8 @@ from repro.workloads.registry import WORKLOADS
 #: three Olden workloads exercising trees, graphs and linked lists
 DIFF_WORKLOADS = ("treeadd", "em3d", "health")
 
-ENGINES = ("legacy", "decoded", "blocks", "superblocks")
-NEW_ENGINES = ("decoded", "blocks", "superblocks")
+ENGINES = ("legacy", "decoded", "superblocks")
+NEW_ENGINES = ("decoded", "superblocks")
 
 
 def memory_image(cpu):
@@ -103,7 +103,7 @@ class TestWorkloadEquivalence:
     def test_hardbound_with_timing_model(self, name):
         """Full stats equality including stalls, cache and page counts.
 
-        With timing on, the blocks engine runs the fast memory model,
+        With timing on, the fused engine runs the fast memory model,
         so this is also the whole-workload differential for
         :class:`repro.caches.fast.FastMemorySystem`.
         """

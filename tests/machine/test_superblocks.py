@@ -1,35 +1,36 @@
-"""Superblock trace-engine tests: formation, edge cases, coverage.
+"""Fused-engine (``engine="superblocks"``) tests: edge cases,
+template coverage, fusion plans.
 
-The trace tier must be bit-identical to every other engine on every
-exit path — including traps raised mid-trace, side exits into cold
-code, control transfers into the middle of a trace, and instruction
-limits that would fire inside one.  The full-registry sweep at the
-bottom closes the four-way equivalence chain over all nine Olden
-workloads (``superblocks`` vs ``blocks`` here; ``blocks`` vs
-``legacy``/``decoded`` in ``test_engine_differential``).
+The fused engine must be bit-identical to every other engine on
+every exit path — including traps raised inside hot fused loops and
+callees, control transfers into the middle of a block, and
+instruction limits that would fire inside one.  The full-registry
+sweep at the bottom extends the equivalence chain over all nine
+Olden workloads (``superblocks`` vs ``decoded`` here; ``decoded``
+vs ``legacy`` in ``test_engine_differential``).
 """
+
+import builtins
 
 import pytest
 
+import repro.machine.blocks as blocks_mod
 from repro.harness.runner import compile_cached, run_workload
 from repro.isa import assemble
 from repro.machine import CPU, MachineConfig
 from repro.minic.driver import mode_for_config
 from repro.workloads.registry import WORKLOADS
 
-ENGINES = ("legacy", "decoded", "blocks", "superblocks")
-
-#: low threshold so unit-test loops form traces within a few dozen
-#: iterations
-HOT = dict(superblock_threshold=8)
+ENGINES = ("legacy", "decoded", "superblocks")
 
 
-def run_all(program, mode_fn, timing=False, **kw):
-    """Run under all four engines; assert identical, return superblocks."""
+def run_all(program, mode_fn, timing=False):
+    """Run under all three engines; assert identical, return the
+    fused engine's cpu."""
     results = {}
     cpus = {}
     for engine in ENGINES:
-        cpu = CPU(program, mode_fn(timing=timing, engine=engine, **kw))
+        cpu = CPU(program, mode_fn(timing=timing, engine=engine))
         r = cpu.run()
         results[engine] = (r.exit_code, r.instructions, r.uops,
                            r.stall_cycles, r.cycles, cpu.pc,
@@ -57,52 +58,33 @@ done:
 
 
 class TestTraceFormation:
-    def test_hot_loop_forms_trace_and_matches(self):
-        cpu = run_all(assemble(LOOP), MachineConfig.plain, **HOT)
-        stats = cpu.engine_stats
-        assert stats["traces_formed"] >= 1
-        assert stats["mean_trace_blocks"] >= 2
-        assert stats["trace_dispatches"] > 100
-
-    def test_side_exit_into_cold_block(self):
-        """The loop exit edge is a side exit into a block that never
-        ran before; state after it must match exactly."""
-        cpu = run_all(assemble(LOOP), MachineConfig.plain, **HOT)
-        stats = cpu.engine_stats
-        assert stats["side_exits"] >= 1
-        assert 0 < stats["side_exit_rate"] < 1
-
-    def test_threshold_knob_disables_formation(self):
-        cpu = run_all(assemble(LOOP), MachineConfig.plain,
-                      superblock_threshold=1 << 30)
-        assert cpu.engine_stats["traces_formed"] == 0
-
-    def test_max_blocks_knob_bounds_traces(self):
-        cpu = run_all(assemble(LOOP), MachineConfig.plain,
-                      superblock_threshold=8, superblock_max_blocks=2)
-        stats = cpu.engine_stats
-        assert stats["traces_formed"] >= 1
-        assert stats["mean_trace_blocks"] <= 2
+    """The fused engine forms no traces: its trace counters travel on
+    every result, pinned to zero."""
 
     def test_engine_stats_travel_on_run_result(self):
         program = assemble(LOOP)
-        config = MachineConfig.plain(timing=False, engine="superblocks",
-                                     **HOT)
+        config = MachineConfig.plain(timing=False, engine="superblocks")
         result = CPU(program, config).run()
         stats = result.engine_stats
         assert stats["engine"] == "superblocks"
-        for key in ("traces_formed", "mean_trace_blocks",
-                    "trace_dispatches", "block_dispatches",
-                    "side_exits", "side_exit_rate", "fallback_steps",
-                    "closure_fallback_ops", "cross_call_traces",
-                    "ret_mispredicts", "ret_mispredict_rate"):
-            assert key in stats
+        # entry block, 200 iterations of three blocks, the final
+        # loop test and the halt block
+        assert stats["block_dispatches"] == 1 + 3 * 200 + 2
+        assert stats["fallback_steps"] == 0
+        assert stats["closure_fallback_ops"] == {"halt": 1}
+        for key in ("traces_formed", "trace_dispatches",
+                    "mean_trace_blocks", "side_exits"):
+            assert stats[key] == 0, key
 
 
 class TestTraceTraps:
+    """Traps, instruction limits and computed entries inside hot
+    fused loops."""
+
     def test_mid_trace_trap_attribution(self):
-        """A trap firing inside a formed trace reports the faulting
-        instruction's pc and count, not the trace boundary's."""
+        """A trap firing inside a fused block of a hot loop reports
+        the faulting instruction's pc and count, not the block
+        boundary's."""
         from repro.machine import DivideByZeroError
         program = assemble("""
         main:
@@ -123,23 +105,20 @@ class TestTraceTraps:
         traps = {}
         for engine in ENGINES:
             cpu = CPU(program, MachineConfig.plain(
-                timing=False, engine=engine, **HOT))
+                timing=False, engine=engine))
             with pytest.raises(DivideByZeroError) as exc:
                 cpu.run()
             traps[engine] = (str(exc.value), exc.value.pc,
                              cpu.icount, cpu.pc)
         for engine in ENGINES[1:]:
             assert traps[engine] == traps["legacy"], engine
-        # the loop runs long enough that the div fired from a trace
-        cpu = CPU(program, MachineConfig.plain(
-            timing=False, engine="superblocks", **HOT))
-        with pytest.raises(DivideByZeroError):
-            cpu.run()
-        assert cpu.engine_stats["traces_formed"] >= 1
+        # the div fired from its fused template, not a single step
+        assert cpu.engine_stats["fallback_steps"] == 0
+        assert cpu.engine_stats["block_dispatches"] > 100
 
     def test_mid_trace_bounds_trap(self):
-        """A HardBound violation inside a trace-fused memory template
-        keeps per-instruction attribution."""
+        """A HardBound violation inside a fused memory template of a
+        hot loop keeps per-instruction attribution."""
         from repro.machine import BoundsError
         source = """
         int main() {
@@ -156,7 +135,7 @@ class TestTraceTraps:
         traps = {}
         for engine in ENGINES:
             cpu = CPU(program, MachineConfig.hardbound(
-                timing=False, engine=engine, **HOT))
+                timing=False, engine=engine))
             with pytest.raises(BoundsError) as exc:
                 cpu.run()
             traps[engine] = (str(exc.value), exc.value.pc,
@@ -165,16 +144,16 @@ class TestTraceTraps:
             assert traps[engine] == traps["legacy"], engine
 
     def test_limit_busting_demotes_trace(self):
-        """When the whole-trace charge would overrun the instruction
-        limit, the dispatch demotes to the block tier (and then to
-        single-stepping), landing on exactly the legacy pc/icount."""
+        """When the whole-block charge would overrun the instruction
+        limit, the dispatch single-steps the block instead, landing
+        on exactly the legacy pc/icount."""
         program = assemble(LOOP)
         for limit in (50, 101, 202, 303, 500, 799, 800, 801):
             states = {}
             for engine in ENGINES:
                 cpu = CPU(program, MachineConfig.plain(
                     timing=False, engine=engine,
-                    max_instructions=limit, **HOT))
+                    max_instructions=limit))
                 from repro.machine import InstructionLimitExceeded
                 try:
                     result = cpu.run()
@@ -187,8 +166,8 @@ class TestTraceTraps:
                                                             limit)
 
     def test_entry_into_trace_middle(self):
-        """A computed call into a pc interior to a formed trace must
-        dispatch the interior block / single-step, not the trace."""
+        """A computed call into a pc interior to a hot loop block
+        single-steps to the next block boundary."""
         program = assemble("""
         main:
             mov r1, 0
@@ -197,6 +176,7 @@ class TestTraceTraps:
         head:
             beqz r2, after
             add r1, r1, 3
+            add r1, r1, 4
             jmp step
         step:
             sub r2, r2, 1
@@ -206,75 +186,25 @@ class TestTraceTraps:
             mov r7, 1
             mov r2, 5
             setcode r5, head
-            add r5, r5, 1
+            add r5, r5, 2
             callr r5
         fin:
             halt r1
         """)
-        # the callr lands on "add r1, r1, 3" — one past the trace
-        # head formed over the hot loop — skipping the loop-exit
-        # compare once, then re-entering the loop head normally
-        cpu = run_all(program, MachineConfig.plain, **HOT)
-        assert cpu.engine_stats["traces_formed"] >= 1
-
-
-#: hot loop whose body calls a leaf; the call/ret pair inlines into
-#: the loop trace, and the callee perturbs the link register via
-#: ``r6`` (zero except on one iteration) so the ret-prediction guard
-#: eventually fires from inside the formed trace
-CROSS_CALL = """
-main:
-    mov r1, 0
-    mov r2, 150
-    mov r6, 0
-head:
-    beqz r2, done
-    call fn
-back:
-    mov r7, 0
-    sub r2, r2, 1
-    seq r6, r2, 20
-    jmp head
-fn:
-    add r1, r1, 2
-    add ra, ra, r6
-    ret
-done:
-    halt r1
-"""
+        # the callr lands on "add r1, r1, 4", inside the loop body's
+        # block — skipping the loop-exit compare and the first add
+        # once, then re-entering the loop head normally
+        cpu = run_all(program, MachineConfig.plain)
+        # "add r1, r1, 4" and "jmp step" ran one by one
+        assert cpu.engine_stats["fallback_steps"] == 2
 
 
 class TestCrossCallTraces:
-    def test_call_ret_pair_inlines_into_trace(self):
-        cpu = run_all(assemble(CROSS_CALL), MachineConfig.plain, **HOT)
-        stats = cpu.engine_stats
-        assert stats["traces_formed"] >= 1
-        assert stats["cross_call_traces"] >= 1
-        # the loop body spans at least head/call/callee/back blocks
-        assert stats["mean_trace_blocks"] >= 4
-
-    def test_ret_mispredict_takes_side_exit(self):
-        """On the one iteration where the callee rewrites ``ra`` the
-        guard must side-exit with the actual target — and the skipped
-        instruction / diverted control flow must match every other
-        engine exactly."""
-        cpu = run_all(assemble(CROSS_CALL), MachineConfig.plain, **HOT)
-        stats = cpu.engine_stats
-        assert stats["ret_mispredicts"] >= 1
-        assert stats["side_exits"] >= stats["ret_mispredicts"]
-        assert 0 < stats["ret_mispredict_rate"] < 1
-
-    def test_depth_knob_zero_restores_call_boundaries(self):
-        cpu = run_all(assemble(CROSS_CALL), MachineConfig.plain,
-                      superblock_threshold=8, superblock_call_depth=0)
-        stats = cpu.engine_stats
-        assert stats["cross_call_traces"] == 0
-        assert stats["ret_mispredicts"] == 0
+    """Hot loops that call and return."""
 
     def test_recursive_call_chain(self):
-        """Direct recursion: the back-edge into the callee terminates
-        the chain (one inlined frame at most), and push/pop-framed
-        recursive returns stay bit-identical."""
+        """Direct recursion: push/pop-framed recursive returns stay
+        bit-identical."""
         program = assemble("""
         main:
             mov r1, 0
@@ -300,13 +230,10 @@ class TestCrossCallTraces:
         done:
             halt r1
         """)
-        cpu = run_all(program, MachineConfig.plain, **HOT)
-        stats = cpu.engine_stats
-        assert stats["traces_formed"] >= 1
-        assert stats["cross_call_traces"] >= 1
+        run_all(program, MachineConfig.plain)
 
     def test_mid_callee_trap_attribution(self):
-        """A div-by-zero deep inside an inlined callee keeps exact
+        """A div-by-zero inside a called function keeps exact
         pc/icount attribution under every engine."""
         from repro.machine import DivideByZeroError
         program = assemble("""
@@ -330,25 +257,19 @@ class TestCrossCallTraces:
         traps = {}
         for engine in ENGINES:
             cpu = CPU(program, MachineConfig.plain(
-                timing=False, engine=engine, **HOT))
+                timing=False, engine=engine))
             with pytest.raises(DivideByZeroError) as exc:
                 cpu.run()
             traps[engine] = (str(exc.value), exc.value.pc,
                              cpu.icount, cpu.pc)
         for engine in ENGINES[1:]:
             assert traps[engine] == traps["legacy"], engine
-        cpu = CPU(program, MachineConfig.plain(
-            timing=False, engine="superblocks", **HOT))
-        with pytest.raises(DivideByZeroError):
-            cpu.run()
-        assert cpu.engine_stats["cross_call_traces"] >= 1
 
 
 class TestFullCoverageTemplates:
     def test_subword_and_env_ops_fuse(self):
-        """Sub-word load/store and setbound/sbrk no longer appear in
-        the closure-fallback counts — the acceptance criterion for
-        the full-coverage templates."""
+        """Sub-word load/store and setbound/sbrk never appear in the
+        closure-fallback counts."""
         program = assemble("""
         main:
             mov r1, 4096
@@ -366,8 +287,7 @@ class TestFullCoverageTemplates:
         done:
             halt r5
         """)
-        cpu = run_all(program, MachineConfig.hardbound, timing=True,
-                      **HOT)
+        cpu = run_all(program, MachineConfig.hardbound, timing=True)
         fallback = cpu.engine_stats["closure_fallback_ops"]
         for op in ("load", "store", "setbound", "sbrk"):
             assert op not in fallback, fallback
@@ -391,7 +311,7 @@ class TestFullCoverageTemplates:
         }"""
         config = MachineConfig.hardbound(timing=timing)
         program = compile_cached(source, mode_for_config(config))
-        run_all(program, MachineConfig.hardbound, timing=timing, **HOT)
+        run_all(program, MachineConfig.hardbound, timing=timing)
 
     def test_nonprop_expression_templates_identical(self):
         program = assemble("""
@@ -411,7 +331,7 @@ class TestFullCoverageTemplates:
         done:
             halt r1
         """)
-        run_all(program, MachineConfig.plain, **HOT)
+        run_all(program, MachineConfig.plain)
 
 
 class TestInlineCompressibleExpr:
@@ -450,20 +370,52 @@ class TestInlineCompressibleExpr:
         assert inline_compressible_expr(Odd(), "v", "b", "bd") is None
 
 
-class TestFullRegistryEquivalence:
-    """Acceptance: four-way bit-identity on the full Olden registry.
+class TestFusionPlanCache:
+    def test_second_run_rebinds_every_block_without_compiling(
+            self, monkeypatch):
+        """A second run of the same program re-binds every block
+        closure from the program's fusion plan: it generates and
+        compiles no fuser source at all."""
+        program = assemble(LOOP)
+        config = MachineConfig.hardbound(engine="superblocks")
+        first = CPU(program, config).run()
+        [plan] = blocks_mod._plan_cache[program].values()
+        assert len(plan.blocks) == len(blocks_mod.build_cfg(program))
 
-    ``superblocks`` vs ``blocks`` here on every workload (timed, so
-    cache/TLB counters are in play); ``blocks``/``decoded`` vs
-    ``legacy`` on the sampled workloads plus every trap scenario in
-    ``test_engine_differential`` close the chain to the reference
-    interpreter.
+        real_compile = builtins.compile
+        fuser_compiles = []
+
+        def counting_compile(source, filename, *args, **kwargs):
+            if filename == blocks_mod._FUSE_FILENAME:
+                fuser_compiles.append(filename)
+            return real_compile(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "compile", counting_compile)
+        cpu = CPU(program, config)
+        second = cpu.run()
+        assert fuser_compiles == []
+        assert list(blocks_mod._plan_cache[program].values()) == [plan]
+        assert (second.cycles, second.instructions) \
+            == (first.cycles, first.instructions)
+        assert second.engine_stats == first.engine_stats
+        # every dispatch went through a re-bound block closure
+        assert second.engine_stats["fallback_steps"] == 0
+
+
+class TestFullRegistryEquivalence:
+    """Acceptance: bit-identity on the full Olden registry.
+
+    The fused engine (``superblocks``) against ``decoded`` on every
+    workload (timed, so cache/TLB counters are in play);
+    ``decoded`` vs ``legacy`` on the sampled workloads plus every
+    trap scenario in ``test_engine_differential`` close the chain to
+    the reference interpreter.
     """
 
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_superblocks_matches_blocks_timed(self, name):
         snaps = {}
-        for engine in ("blocks", "superblocks"):
+        for engine in ("decoded", "superblocks"):
             config = MachineConfig.hardbound(engine=engine,
                                              retain_cpu=True)
             r = run_workload(name, config)
@@ -472,15 +424,15 @@ class TestFullRegistryEquivalence:
                 r.stall_cycles, r.cycles, r.setbound_uops,
                 r.hb_stats.as_dict(), r.mem_stats.as_dict(),
                 r.cpu.memory.nonzero_pages())
-        assert snaps["superblocks"] == snaps["blocks"]
+        assert snaps["superblocks"] == snaps["decoded"]
 
     def test_plain_core_matches_blocks_timed(self):
         for name in ("em3d", "health"):
             snaps = {}
-            for engine in ("blocks", "superblocks"):
+            for engine in ("decoded", "superblocks"):
                 r = run_workload(name, MachineConfig.plain(
                     engine=engine))
                 snaps[engine] = (r.exit_code, r.output,
                                  r.instructions, r.cycles,
                                  r.mem_stats.as_dict())
-            assert snaps["superblocks"] == snaps["blocks"]
+            assert snaps["superblocks"] == snaps["decoded"]

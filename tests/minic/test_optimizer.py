@@ -20,7 +20,7 @@ from repro.machine import CPU, DivideByZeroError, MachineConfig
 from repro.minic.driver import compile_program, compile_to_asm
 from repro.minic.optimizer import optimize_asm
 
-ENGINES = ("legacy", "decoded", "blocks", "superblocks")
+ENGINES = ("legacy", "decoded", "superblocks")
 
 #: first page of the stack region; pages at or above hold dead
 #: residue after main returns and are excluded from the comparison

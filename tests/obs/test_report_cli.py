@@ -12,51 +12,42 @@ from repro.obs.report import (
     RunSummary,
     diff_bench,
     diff_events,
-    hot_traces_table,
+    fallback_table,
     load_artifact,
     phase_table,
+    render_bench,
     render_summary,
     runs_table,
-    side_exit_table,
     summarize,
 )
 
 
-def synthetic_run(label, cycles=1000, dispatches=50, exits=5):
+def synthetic_run(label, cycles=1000, dispatches=75, fallback=None,
+                  phases=None):
     """One run's worth of events, in emission order."""
     return [
         {"ev": "run_start",
          "manifest": {"label": label, "engine": "superblocks",
                       "mode": "off"}},
-        {"ev": "trace_formed", "head": 10, "blocks": 4, "instrs": 20,
-         "has_call": True, "source": "profile"},
-        {"ev": "trace_profile", "head": 10, "pc_lo": 10, "pc_hi": 40,
-         "blocks": 4, "instrs": 20, "dispatches": dispatches,
-         "side_exits": exits, "has_call": True},
-        {"ev": "trace_profile", "head": 50, "pc_lo": 50, "pc_hi": 60,
-         "blocks": 2, "instrs": 8, "dispatches": dispatches // 2,
-         "side_exits": 0, "has_call": False},
-        {"ev": "side_exit_profile", "head": 10, "branch_pc": 23,
-         "count": exits},
-        {"ev": "demotions", "count": 0},
         {"ev": "run_end", "exit_code": 0, "instructions": 5000,
          "uops": 5100, "stall_cycles": 10, "cycles": cycles,
-         "phases": {"decode": 0.01, "cfg_fusion": 0.02,
-                    "trace_formation": 0.1, "execute": 0.5},
-         "engine_stats": {"traces_formed": 2,
-                          "trace_dispatches": dispatches * 3 // 2,
-                          "side_exit_rate": 0.1}},
+         "phases": phases or {"decode": 0.01, "cfg_fusion": 0.02,
+                              "execute": 0.5},
+         "engine_stats": {"block_dispatches": dispatches,
+                          "fallback_steps": 3,
+                          "closure_fallback_ops":
+                              fallback or {"halt": 1, "print": 2}}},
     ]
 
 
-def synthetic_bench(seconds, speedup, ratio=1.01):
+def synthetic_bench(seconds, speedup, ratio=1.01, cold=1.2):
     return {
-        "seconds": {"functional": {"blocks": seconds},
-                    "timed": {"blocks": seconds * 2,
+        "seconds": {"functional": {"decoded": seconds},
+                    "timed": {"decoded": seconds * 2,
                               "superblocks": seconds}},
-        "speedups": {"timed": {"superblocks_vs_decoded": speedup}},
-        "trace_stats": {"traces_formed": 100,
-                        "mean_trace_blocks": 6.5},
+        "speedups": {"timed": {"fast_vs_decoded": speedup}},
+        "cold": {"decoded_seconds": 6.0, "fast_seconds": 6.0 / cold,
+                 "fast_vs_decoded": cold},
         "obs_overhead": {"ratio": ratio},
     }
 
@@ -68,8 +59,7 @@ class TestSummaries:
         assert [r.label for r in runs] == ["treeadd/superblocks/off",
                                            "bisort/superblocks/off"]
         assert runs[0].stats["cycles"] == 1000
-        assert len(runs[0].trace_profiles) == 2
-        assert len(runs[0].side_exit_profiles) == 1
+        assert runs[0].engine_stats["block_dispatches"] == 75
         assert not runs[0].aborted
 
     def test_summarize_ignores_leading_noise(self):
@@ -79,7 +69,7 @@ class TestSummaries:
 
     def test_aborted_run(self):
         events = [
-            {"ev": "run_start", "manifest": {"engine": "blocks"}},
+            {"ev": "run_start", "manifest": {"engine": "decoded"}},
             {"ev": "run_abort", "error": "TrapError", "pc": 99,
              "instructions": 12, "phases": {"execute": 0.1}},
         ]
@@ -94,39 +84,32 @@ class TestTables:
         runs = summarize(synthetic_run("treeadd"))
         text = runs_table(runs)
         assert "treeadd/superblocks" in text
-        assert "75" in text       # trace dispatches
-        assert "0.100" in text    # side-exit rate
+        assert "75" in text       # block dispatches
 
     def test_phase_table_nets_out_trace_formation(self):
-        runs = summarize(synthetic_run("treeadd"))
+        runs = summarize(synthetic_run(
+            "treeadd", phases={"execute": 0.5, "trace_formation": 0.1}))
         text = phase_table(runs)
-        # execute 0.5s minus nested formation 0.1s
+        # execute 0.5s minus the nested 0.1s phase
         assert "0.4000s" in text
-        assert "0.1000s" in text
+        assert "0.5000s" not in text
 
     def test_phase_table_totals_across_runs(self):
         runs = summarize(synthetic_run("a") + synthetic_run("b"))
         text = phase_table(runs)
         assert "TOTAL" in text
 
-    def test_hot_traces_sorted_and_capped(self):
-        runs = summarize(synthetic_run("a", dispatches=50)
-                         + synthetic_run("b", dispatches=80))
-        text = hot_traces_table(runs, top=2)
+    def test_fallback_table_sorted_and_capped(self):
+        runs = summarize(
+            synthetic_run("a", fallback={"halt": 1, "print": 2})
+            + synthetic_run("b", fallback={"halt": 1, "abort": 1}))
+        text = fallback_table(runs, top=2)
         lines = text.splitlines()
-        # top-2: b's head-10 trace (80) then a's head-10 trace (50)
-        # title + rule + header + header-rule + two trace rows
+        # top-2 summed over runs: halt (2), then print (2) by name
+        # title + rule + header + header-rule + two op rows
         assert len(lines) == 6
-        assert lines[-2].startswith("b/superblocks")
-        assert "10..40" in lines[-2]
-        assert lines[-1].startswith("a/superblocks")
-
-    def test_side_exit_heatmap_bars_scale_to_peak(self):
-        runs = summarize(synthetic_run("a", exits=8)
-                         + synthetic_run("b", exits=2))
-        text = side_exit_table(runs, width=8)
-        assert "########" in text
-        assert "##" in text
+        assert lines[-2].split() == ["halt", "2"]
+        assert lines[-1].split() == ["print", "2"]
 
     def test_render_summary_empty_stream(self):
         assert "no runs recorded" in render_summary([])
@@ -135,8 +118,7 @@ class TestTables:
         text = render_summary(synthetic_run("treeadd"))
         assert "Runs" in text
         assert "Phase times" in text
-        assert "Hot traces" in text
-        assert "Side-exit heatmap" in text
+        assert "Closure fallbacks" in text
 
 
 class TestDiffs:
@@ -159,6 +141,30 @@ class TestDiffs:
         assert "2.60x" in text
         assert "Instrumentation overhead" in text
         assert "1.02" in text
+        assert "Cold-process sweep" in text
+
+
+class TestBenchTable:
+    def test_render_bench_markdown(self):
+        text = render_bench(synthetic_bench(2.0, 2.5, cold=0.8))
+        lines = text.splitlines()
+        assert lines[0] == ("| Olden sweep | legacy | decoded | "
+                            "superblocks | superblocks vs decoded |")
+        assert lines[3] == ("| warm, timed | - | 4.00 s | 2.00 s "
+                            "| 2.50x |")
+        assert lines[4] == ("| cold process, HardBound timed | - | "
+                            "6.00 s | 7.50 s | 0.80x |")
+
+    def test_bench_command(self, tmp_path, capsys):
+        path = tmp_path / "BENCH_engine.json"
+        path.write_text(json.dumps(synthetic_bench(1.0, 2.5)))
+        assert report.main(["bench", str(path)]) == 0
+        assert "| warm, timed |" in capsys.readouterr().out
+
+    def test_bench_command_rejects_event_streams(self, tmp_path):
+        path = write_jsonl(tmp_path / "run.jsonl", synthetic_run("t"))
+        with pytest.raises(SystemExit):
+            report.main(["bench", path])
 
 
 class TestLoadArtifact:
@@ -190,7 +196,7 @@ class TestCli:
         assert report.main(["summary", path]) == 0
         out = capsys.readouterr().out
         assert "treeadd/superblocks" in out
-        assert "Hot traces" in out
+        assert "Closure fallbacks" in out
 
     def test_bare_path_shorthand(self, tmp_path, capsys):
         path = write_jsonl(tmp_path / "run.jsonl",
@@ -198,7 +204,7 @@ class TestCli:
         assert report.main([path]) == 0
         assert "treeadd/superblocks" in capsys.readouterr().out
 
-    def test_top_flag_limits_hot_traces(self, tmp_path, capsys):
+    def test_top_flag_limits_fallback_rows(self, tmp_path, capsys):
         path = write_jsonl(tmp_path / "run.jsonl",
                            synthetic_run("treeadd"))
         assert report.main(["summary", path, "--top", "1"]) == 0
@@ -252,4 +258,4 @@ class TestRealRun:
         assert report.main(["summary", path]) == 0
         out = capsys.readouterr().out
         assert "treeadd/superblocks" in out
-        assert "Hot traces" in out
+        assert "Closure fallbacks" in out

@@ -41,7 +41,7 @@ def test_superblocks_stats_are_exactly_the_frozen_keys(live_runs):
 
 
 def test_non_trace_tiers_record_none(live_runs):
-    for engine in ("blocks", "decoded", "legacy"):
+    for engine in ("decoded", "legacy"):
         assert live_runs[engine].engine_stats is None
 
 
@@ -52,8 +52,8 @@ def test_validate_rejects_unknown_engine():
 
 def test_validate_rejects_missing_and_extra_keys(live_runs):
     stats = dict(live_runs["superblocks"].engine_stats)
-    del stats["limit_demotions"]
-    with pytest.raises(ValueError, match="limit_demotions"):
+    del stats["fallback_steps"]
+    with pytest.raises(ValueError, match="fallback_steps"):
         validate_engine_stats("superblocks", stats)
     stats = dict(live_runs["superblocks"].engine_stats)
     stats["surprise"] = 1
@@ -68,7 +68,7 @@ def test_validate_rejects_none_for_superblocks():
 
 def test_validate_rejects_stats_on_stat_free_tiers():
     with pytest.raises(ValueError, match="must record no"):
-        validate_engine_stats("blocks", {"engine": "blocks"})
+        validate_engine_stats("decoded", {"engine": "decoded"})
 
 
 def test_doc_names_every_frozen_key():
@@ -96,13 +96,14 @@ class TestPhases:
     def test_decoding_engines_time_decode(self, live_runs):
         # legacy interprets Instruction records directly — no
         # decode phase to charge
-        for engine in ("decoded", "blocks", "superblocks"):
+        for engine in ("decoded", "superblocks"):
             assert "decode" in live_runs[engine].phases, engine
         assert "decode" not in live_runs["legacy"].phases
 
     def test_block_tiers_time_cfg_fusion(self, live_runs):
-        for engine in ("blocks", "superblocks"):
-            assert "cfg_fusion" in live_runs[engine].phases
+        assert "cfg_fusion" in live_runs["superblocks"].phases
+        for engine in ("decoded", "legacy"):
+            assert "cfg_fusion" not in live_runs[engine].phases
 
     def test_timed_run_charges_probe_compile(self):
         result = run_workload(
@@ -130,7 +131,7 @@ class TestManifest:
 
     def test_manifest_records_cache_geometry_when_timed(self):
         result = run_workload(
-            "treeadd", MachineConfig.hardbound(engine="blocks"))
+            "treeadd", MachineConfig.hardbound(engine="superblocks"))
         geometry = result.manifest["cache_geometry"]
         assert geometry is not None
         assert geometry["tag_cache_size"] > 0
@@ -141,5 +142,5 @@ class TestManifest:
                 == result.manifest
 
     def test_git_sha_present_in_this_checkout(self, live_runs):
-        sha = live_runs["blocks"].manifest["git_sha"]
+        sha = live_runs["decoded"].manifest["git_sha"]
         assert sha is None or len(sha) >= 7
