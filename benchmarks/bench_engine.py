@@ -38,12 +38,6 @@ The measured seconds and speedups are written to
 and CI's ``bench-gate`` step fails the build if the freshly emitted
 ``timed.fast_vs_decoded`` falls below the committed floor (see
 ``benchmarks/check_bench_gate.py``).
-
-The PR 4 and PR 5 baselines below were measured on the host that
-produced an earlier committed ``BENCH_engine.json``.  Cross-machine
-ratios against them are meaningless, so their assertions only fire
-when ``REPRO_ASSERT_PR4`` / ``REPRO_ASSERT_PR5`` are set in the
-environment; the ratios themselves are always recorded.
 """
 
 import json
@@ -71,25 +65,11 @@ ENGINES = ("legacy", "decoded", "superblocks")
 #: timing-noise guard: each sweep is repeated and the minimum kept
 ROUNDS = 3
 
-#: the engine-ladder sweeps compile with ``optimize=False``: the
-#: stored PR 4/5 baseline seconds were measured on unoptimized
-#: binaries, so the ladder must keep executing the same programs for
-#: those ratios to stay meaningful.  The optimizer's own effect is
-#: reported separately (``optimizer_instructions``).
+#: the engine-ladder sweeps compile with ``optimize=False``, so the
+#: ladder keeps executing the same programs as earlier records.  The
+#: optimizer's own effect is reported separately
+#: (``optimizer_instructions``).
 LADDER_OPTIMIZE = False
-
-#: PR 4 blocks engine (commit 89681ce, array-backed cache sets)
-#: measured on the record host
-PR4_BLOCKS_COMMIT = "89681ce"
-PR4_BLOCKS_TIMED_SECONDS = 2.45
-PR4_BLOCKS_FUNCTIONAL_SECONDS = 1.27
-
-#: PR 5 superblock engine (commit ce7d71c, call/ret-bounded traces)
-#: on the record host — the committed ``BENCH_engine.json`` of that
-#: PR, same sweep protocol
-PR5_SUPERBLOCKS_COMMIT = "ce7d71c"
-PR5_SUPERBLOCKS_TIMED_SECONDS = 1.923
-PR5_SUPERBLOCKS_FUNCTIONAL_SECONDS = 0.877
 
 
 def _warm_compile_cache(timing):
@@ -332,15 +312,6 @@ def test_engine_speedups(benchmark):
             ["timing=%s" % timing]
             + ["%.2fs" % best[engine] for engine in ENGINES]
             + ["%.2fx" % speedups[timing]["fast_vs_decoded"]])
-    speedups[True]["superblocks_vs_pr4_blocks"] = \
-        PR4_BLOCKS_TIMED_SECONDS / seconds[True]["superblocks"]
-    speedups[False]["superblocks_vs_pr4_blocks"] = \
-        PR4_BLOCKS_FUNCTIONAL_SECONDS / seconds[False]["superblocks"]
-    speedups[True]["superblocks_vs_pr5_superblocks"] = \
-        PR5_SUPERBLOCKS_TIMED_SECONDS / seconds[True]["superblocks"]
-    speedups[False]["superblocks_vs_pr5_superblocks"] = \
-        (PR5_SUPERBLOCKS_FUNCTIONAL_SECONDS
-         / seconds[False]["superblocks"])
     cold = _cold_fast_vs_decoded()
     rows.append(["cold process, HardBound timed", "-",
                  "%.2fs" % cold["decoded_seconds"],
@@ -384,27 +355,6 @@ def test_engine_speedups(benchmark):
             "functional": speedups[False],
             "timed": speedups[True],
         },
-        "pr4_blocks_baseline": {
-            "commit": PR4_BLOCKS_COMMIT,
-            "timed_seconds": PR4_BLOCKS_TIMED_SECONDS,
-            "functional_seconds": PR4_BLOCKS_FUNCTIONAL_SECONDS,
-            "note": "same-host measurement of the PR 4 blocks "
-                    "engine; "
-                    "superblocks_vs_pr4_blocks compares against it "
-                    "and is only asserted on the record host "
-                    "(REPRO_ASSERT_PR4)",
-        },
-        "pr5_superblocks_baseline": {
-            "commit": PR5_SUPERBLOCKS_COMMIT,
-            "timed_seconds": PR5_SUPERBLOCKS_TIMED_SECONDS,
-            "functional_seconds": PR5_SUPERBLOCKS_FUNCTIONAL_SECONDS,
-            "note": "record-host seconds of the PR 5 superblock "
-                    "engine (call/ret-bounded traces), from that "
-                    "PR's committed BENCH_engine.json; "
-                    "superblocks_vs_pr5_superblocks compares "
-                    "against it and is only asserted on the record "
-                    "host (REPRO_ASSERT_PR5)",
-        },
         "cold": cold,
         "superblocks_stats": _engine_introspection(),
         "optimizer_instructions": optimizer,
@@ -424,16 +374,6 @@ def test_engine_speedups(benchmark):
     assert speedups[False]["fast_vs_decoded"] >= 1.0, speedups
     assert (speedups[True]["fast_vs_decoded"]
             >= FLOOR_TIMED_FAST_VS_DECODED), speedups
-    # same-host bars against the stored PR 4/5 seconds: ≥1.15x over
-    # the PR 4 blocks engine, no regression within noise against the
-    # PR 5 superblock engine (record host only — cloud-runner noise
-    # must not flake PRs, so CI leaves these knobs unset)
-    if os.environ.get("REPRO_ASSERT_PR4"):
-        assert speedups[True]["superblocks_vs_pr4_blocks"] >= 1.15, \
-            speedups
-    if os.environ.get("REPRO_ASSERT_PR5"):
-        assert (speedups[True]["superblocks_vs_pr5_superblocks"]
-                >= 0.95), speedups
     # observability: event tracing must cost under ~2% on the timed
     # fused sweep (host-independent — both sweeps run in the same
     # process)

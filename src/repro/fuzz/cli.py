@@ -1,8 +1,9 @@
 """``python -m repro.fuzz``: sharded differential fuzzing.
 
 Seed-range partitioning over :func:`repro.harness.parallel.map_jobs`
-worker processes: the seed space ``[start, start+seeds)`` splits into
-one contiguous slice per worker (:func:`repro.fuzz.rng.shard_ranges`),
+(inline, or a ``repro.service`` worker fleet): the seed space
+``[start, start+seeds)`` splits into one contiguous slice per worker
+(:func:`repro.fuzz.rng.shard_ranges`),
 each shard runs its seeds through the full oracle and appends its
 JSONL event stream — ``fuzz_run`` per program, ``fuzz_divergence``
 per mismatch, one ``fuzz_summary`` per shard — to the shared ``--out``
@@ -91,7 +92,7 @@ def run_fuzz(levels: Tuple[str, ...], seeds: int, start: int = 0,
     """Fuzz ``seeds`` seeds per level, sharded; returns all records.
 
     With ``service`` (a ``repro.service`` client), the shards run on
-    the persistent warm-worker fleet instead of a fresh pool;
+    the persistent warm-worker fleet instead of a fresh one;
     ``workers`` still controls how many shards the seed space splits
     into.
     """
@@ -202,7 +203,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="run shards on the persistent service "
                              "daemon rendezvoused in STATE_DIR "
                              "(default .repro-service) instead of a "
-                             "fresh pool")
+                             "fresh fleet")
     args = parser.parse_args(argv)
     if args.seeds < 0:
         parser.error("--seeds must be >= 0")

@@ -4,11 +4,11 @@ The names in ``__all__`` are the harness's stable public surface
 (documented in docs/SERVICE.md and README; guarded by
 ``tests/service/test_public_api.py`` so it cannot silently shrink):
 serial running (:func:`run_workload`, :func:`run_benchmark_matrix`),
-sharded/cached running (:func:`map_jobs`, :class:`ResultCache`,
-:func:`run_benchmark_matrix_parallel`), declarative sweeps
-(:class:`SweepSpec`, :func:`run_sweep`) and the figure tables.  The
-old per-sweep entry points (``sweep_*_parallel``) remain importable
-but are deprecated wrappers over :func:`run_sweep`.
+sharded/cached running (:func:`map_jobs` — the one executor, inline
+or on a ``repro.service`` fleet — :class:`ResultCache` — the one
+on-disk result cache — and :func:`run_benchmark_matrix_parallel`),
+declarative sweeps (:class:`SweepSpec`, :func:`run_sweep`) and the
+figure tables.
 """
 
 from repro.harness.violations import (

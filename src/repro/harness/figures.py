@@ -104,7 +104,7 @@ def figure5_breakdown(bench: BenchmarkRun,
         "setbound": setbound_frac,
         "meta_uops": meta_uops_frac,
         "meta_stall": meta_stall_frac,
-        "pollution": max(pollution, 0.0),
+        "pollution": pollution,
         "total": total,
     }
 

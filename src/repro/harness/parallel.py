@@ -1,13 +1,19 @@
-"""Sharded sweep harness: matrix runs across worker processes.
+"""Sharded harness: one executor and one result cache for every job.
 
 :func:`repro.harness.runner.run_benchmark_matrix` walks the workload
 × encoding × baseline matrix serially — every figure regeneration
 pays for the whole grid even when only one cell changed.  This module
 shards the same matrix at *cell* granularity (one workload under one
-configuration is one job) across a pool of worker processes, and
-fronts the pool with an on-disk result cache keyed by content hash:
-the workload's source digest plus the full cell configuration.  A
-warm rerun touches no worker at all.
+configuration is one job) and fronts it with an on-disk
+:class:`ResultCache` keyed by content hash: the workload's source
+digest plus the full cell configuration.  A warm rerun touches no
+worker at all.
+
+Every sharded consumer — the figure matrix, the sensitivity sweeps
+(:mod:`repro.harness.sweep_api`) and the fuzz CLI — runs its jobs
+through :func:`map_jobs`, which has exactly two backends: inline, or
+a :class:`repro.service.Service` worker fleet.  So every job gets the
+same crash requeue, timeout and in-flight dedup behaviour.
 
 Every cell result is a pure-statistics snapshot
 (:class:`~repro.machine.cpu.RunResult` without its CPU, or an
@@ -22,29 +28,21 @@ Also usable as a CLI::
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import os
 import pickle
-import warnings
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.baselines.fatptr import ccured_sim_config
 from repro.baselines.objtable import ObjectTableModel
-from repro.caches.hierarchy import CacheParams
 from repro.harness.runner import (
     BenchmarkRun,
     ENCODINGS,
     run_workload,
     source_digest,
 )
-from repro.machine.config import (
-    ENGINE_SUPERBLOCKS,
-    ENGINES,
-    MachineConfig,
-    SafetyMode,
-)
+from repro.machine.config import ENGINE_SUPERBLOCKS, ENGINES, MachineConfig
 from repro.obs.events import EventLog
 from repro.obs.metrics import REGISTRY
 from repro.workloads.registry import WORKLOADS
@@ -54,8 +52,8 @@ from repro.workloads.registry import WORKLOADS
 CACHE_SCHEMA = 3
 
 #: environment knob: workers append their obs JSONL event streams to
-#: this path (set by the CLI ``--obs`` flag; inherited by pool
-#: processes).  Never part of any cache key — events don't change
+#: this path (set by the CLI ``--obs`` flag; inherited by fleet
+#: workers).  Never part of any cache key — events don't change
 #: results.
 OBS_ENV = "REPRO_OBS"
 
@@ -95,13 +93,21 @@ class ObjTableSummary:
 class ResultCache:
     """Content-hash keyed on-disk pickle cache for cell results.
 
+    One entry is one ``<sha256-of-descriptor>.pkl`` pickle.  The same
+    class serves the harness and the service fleet's shared store,
+    so any process that points at a directory — a sweep, a service
+    worker, the daemon — serves every cell any other one published.
+
     Publication is atomic (write to a per-pid temp file, then
     ``os.replace``), so readers never observe a partially written
-    entry even with concurrent writers in other processes.  An entry
-    that nevertheless fails to unpickle — a torn write from a crashed
-    process, a file damaged at rest — is counted under ``corrupt``
-    (distinct from a clean miss) and *deleted*, so the caller's rerun
-    rewrites it instead of tripping over the poisoned file forever.
+    entry even with concurrent writers in other processes; racing
+    writers on one key leave the last complete value.  Reads take no
+    lock.  An entry that nevertheless fails to unpickle — a torn
+    write from a crashed process, a file damaged at rest — is counted
+    under ``corrupt`` (distinct from a clean miss) and *deleted*, so
+    the caller's rerun rewrites it instead of tripping over the
+    poisoned file forever.  The directory listing is the only index
+    (:meth:`keys`).
     """
 
     def __init__(self, path: str):
@@ -157,31 +163,56 @@ class ResultCache:
         os.replace(tmp, self._file(key))
         self.writes += 1
 
+    def keys(self) -> Set[str]:
+        """Every published key, from the directory listing."""
+        try:
+            names = os.listdir(self.path)
+        except OSError:
+            return set()
+        return {name[:-4] for name in names if name.endswith(".pkl")}
 
-def map_jobs(fn, jobs: Iterable, workers: int = 2,
-             service=None) -> List:
-    """Run ``fn`` over ``jobs`` on a process pool, preserving order.
+    def __len__(self) -> int:
+        return len(self.keys())
 
-    The one pool idiom every sharded consumer shares (matrix sweeps,
-    sensitivity sweeps, the fuzz CLI): ``workers <= 1`` degrades to
-    an in-process loop — same results, no pool, picklability not
-    required — which is also the debuggable path.  ``fn`` and each
-    job must pickle when ``workers > 1``.
+    def __contains__(self, key: str) -> bool:
+        return os.path.exists(self._file(key))
 
-    With ``service`` (a ``repro.service`` Client or Service) the jobs
-    go to the persistent warm-worker fleet instead of a fresh pool;
-    ``workers`` is then ignored (the fleet's size rules).
+
+def map_jobs(fn, jobs: Iterable, workers: int = 2, service=None,
+             keys: Optional[List[Optional[str]]] = None) -> List:
+    """Run ``fn`` over ``jobs``, preserving order.
+
+    The one executor every sharded consumer shares (matrix sweeps,
+    sensitivity sweeps, the fuzz CLI), with two backends:
+
+    * **inline** — ``workers <= 1`` and no ``service``: an
+      in-process loop, no picklability required; the debuggable
+      path;
+    * **a** :class:`repro.service.Service` **fleet** — the caller's
+      ``service`` (a ``repro.service`` Client or Service; ``workers``
+      is then ignored), else a short-lived in-process fleet of
+      ``min(workers, len(jobs))`` workers with no store.
+
+    On a fleet ``fn`` and each job must pickle.  ``keys`` (one
+    content-hash key or ``None`` per job) lets identical in-flight
+    jobs coalesce and the fleet's store serve published ones.  A
+    worker that dies mid-job has its job requeued once; a job that
+    raises, or whose worker dies twice, raises
+    :class:`~repro.service.JobFailed`, whose message names the
+    original exception type.
     """
     jobs = list(jobs)
     if not jobs:
         return []
+    if service is None and workers <= 1:
+        return [fn(job) for job in jobs]
+    from repro.service.dispatch import JobSpec, Service
+    specs = [JobSpec(fn, job, key=key)
+             for job, key in zip(jobs, keys or [None] * len(jobs))]
     if service is not None:
-        return service.map(fn, jobs)
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(job) for job in jobs]
+        return [future.result() for future in service.submit_many(specs)]
+    with Service(workers=min(workers, len(jobs))) as fleet:
+        return [future.result() for future in fleet.submit_many(specs)]
 
 
 def _sweep_cache_summary(cache: Optional[ResultCache],
@@ -211,7 +242,7 @@ def _sweep_cache_summary(cache: Optional[ResultCache],
 def _with_obs(config: MachineConfig) -> MachineConfig:
     """Worker-side obs knob: append events to the ``REPRO_OBS`` path.
 
-    The path travels by environment (inherited by pool processes)
+    The path travels by environment (inherited by fleet workers)
     rather than through job tuples so cell descriptors — and
     therefore cache keys — can never depend on it.
     """
@@ -283,8 +314,8 @@ def run_benchmark_matrix_parallel(
     :func:`repro.harness.runner.run_benchmark_matrix`.
 
     Cells already present in ``cache`` are served from disk; the rest
-    are distributed over ``workers`` processes — or submitted, with
-    their content-hash keys, to the persistent ``service`` fleet.
+    run on :func:`map_jobs` — ``workers`` processes, or the
+    persistent ``service`` fleet — each with its content-hash key.
     Returns the same ``{workload: BenchmarkRun}`` shape as the serial
     harness, with ``bench.objtable`` holding an
     :class:`ObjTableSummary` instead of the live model.
@@ -314,162 +345,28 @@ def run_benchmark_matrix_parallel(
     return matrix
 
 
-# -- sharded sensitivity sweeps ---------------------------------------------
+def _publishes_to(service, cache: ResultCache) -> bool:
+    """Whether ``service``'s workers publish into ``cache``'s directory.
 
-def _ccured_fraction_cell(
-        job: Tuple[str, Optional[float]]) -> Tuple[str, Optional[float],
-                                                   int]:
-    """Worker: cycles of one workload at one CCured SAFE fraction.
-
-    A ``None`` fraction is the plain-core baseline cell.
-    """
-    name, fraction = job
-    if fraction is None:
-        config = MachineConfig.plain()
-    else:
-        from repro.harness.sweeps import _engine_factory
-        config = MachineConfig(mode=SafetyMode.FULL,
-                               encoding="uncompressed",
-                               engine_factory=_engine_factory(fraction))
-    return name, fraction, run_workload(name, _with_obs(config)).cycles
-
-
-def _deprecated_sweep(old: str, spec, workers, cache=None,
-                      service=None):
-    warnings.warn(
-        "%s is deprecated; use repro.harness.run_sweep(SweepSpec(...))"
-        % old, DeprecationWarning, stacklevel=3)
-    from repro.harness.sweep_api import run_sweep
-    return run_sweep(spec, workers=workers, cache=cache,
-                     service=service)
-
-
-def sweep_ccured_safe_fraction_parallel(
-        workloads: Iterable[str],
-        fractions: Iterable[float],
-        workers: int = 2) -> Dict[float, float]:
-    """Deprecated wrapper for :func:`repro.harness.run_sweep` with a
-    ``kind="ccured"`` :class:`~repro.harness.sweep_api.SweepSpec`."""
-    from repro.harness.sweep_api import SweepSpec
-    return _deprecated_sweep(
-        "sweep_ccured_safe_fraction_parallel",
-        SweepSpec(kind="ccured", workloads=tuple(workloads),
-                  grid=tuple(fractions)), workers)
-
-
-def _objtable_elision_cell(job: Tuple[str, Optional[float], str]):
-    """Worker: one workload at one object-table elision fraction.
-
-    A ``None`` fraction is the plain-core baseline cell (timing on,
-    matching :func:`repro.harness.sweeps.sweep_objtable_elision`).
-    """
-    name, fraction, engine = job
-    if fraction is None:
-        return run_workload(name,
-                            _with_obs(MachineConfig.plain(engine=engine)))
-    model = ObjectTableModel(elide_fraction=fraction)
-    result = run_workload(
-        name, _with_obs(MachineConfig.hardbound(timing=False,
-                                                engine=engine)),
-        observer=model)
-    return ObjTableSummary(model, result.manifest)
-
-
-def _objtable_descriptor(name: str, fraction: Optional[float],
-                         engine: str) -> dict:
-    descr = {
-        "schema": CACHE_SCHEMA,
-        "sweep": "objtable-elision",
-        "source": source_digest(WORKLOADS[name].source),
-        "workload": name,
-        "fraction": fraction,
-        "engine": engine,
-    }
-    descr.update(_knob_descriptor())
-    return descr
-
-
-def sweep_objtable_elision_parallel(
-        workloads: Iterable[str],
-        fractions: Iterable[float],
-        workers: int = 2,
-        cache: Optional[ResultCache] = None,
-        engine: str = ENGINE_SUPERBLOCKS) -> Dict[float, float]:
-    """Deprecated wrapper for :func:`repro.harness.run_sweep` with a
-    ``kind="objtable"`` :class:`~repro.harness.sweep_api.SweepSpec`."""
-    from repro.harness.sweep_api import SweepSpec
-    return _deprecated_sweep(
-        "sweep_objtable_elision_parallel",
-        SweepSpec(kind="objtable", workloads=tuple(workloads),
-                  grid=tuple(fractions), engine=engine),
-        workers, cache=cache)
-
-
-def _tag_cache_cell(job: Tuple[str, int, str, str]):
-    """Worker: one workload under one tag-metadata-cache size."""
-    name, size, encoding, engine = job
-    params = CacheParams(tag_cache_size=size)
-    return run_workload(
-        name, _with_obs(MachineConfig.hardbound(encoding=encoding,
-                                                engine=engine)),
-        cache_params=params)
-
-
-def _tag_cache_descriptor(name: str, size: int, encoding: str,
-                          engine: str) -> dict:
-    descr = {
-        "schema": CACHE_SCHEMA,
-        "sweep": "tag-cache",
-        "source": source_digest(WORKLOADS[name].source),
-        "workload": name,
-        "tag_cache_size": size,
-        "encoding": encoding,
-        "engine": engine,
-    }
-    descr.update(_knob_descriptor())
-    return descr
-
-
-def sweep_tag_cache_parallel(
-        workloads: Iterable[str],
-        sizes: Iterable[int],
-        encoding: str = "extern4",
-        workers: int = 2,
-        cache: Optional[ResultCache] = None,
-        engine: str = ENGINE_SUPERBLOCKS
-) -> Dict[Tuple[str, int], Dict[str, float]]:
-    """Deprecated wrapper for :func:`repro.harness.run_sweep` with a
-    ``kind="tagcache"`` :class:`~repro.harness.sweep_api.SweepSpec`."""
-    from repro.harness.sweep_api import SweepSpec
-    return _deprecated_sweep(
-        "sweep_tag_cache_parallel",
-        SweepSpec(kind="tagcache", workloads=tuple(workloads),
-                  grid=tuple(sizes), encoding=encoding,
-                  engine=engine), workers, cache=cache)
-
-
-def _map_pending(cell_fn, pending, pending_keys, workers,
-                 service) -> List:
-    """Run the cache misses: fresh pool, or keyed service submission.
-
-    Through the service, each job carries its content-hash key so
-    identical in-flight cells deduplicate on the dispatcher and the
-    workers publish into the shared store.
+    Then the workers have already written every result the fleet
+    returns, and a harness-side ``put`` would write each cell twice.
     """
     if service is None:
-        return map_jobs(cell_fn, pending, workers)
-    from repro.service.dispatch import JobSpec
-    futures = service.submit_many(
-        [JobSpec(cell_fn, job, key=key)
-         for job, key in zip(pending, pending_keys)])
-    return [future.result() for future in futures]
+        return False
+    store = service.status().get("store")
+    if not store:
+        return False
+    try:
+        return os.path.samefile(store["path"], cache.path)
+    except OSError:
+        return False
 
 
 def _run_cached_jobs(jobs, cell_fn, descriptor_fn, workers,
                      cache: Optional[ResultCache],
                      service=None) -> Dict:
-    """Resolve jobs through the cache, shard the misses over a pool
-    (or the persistent service fleet)."""
+    """Resolve jobs through the cache and run the misses on
+    :func:`map_jobs`, each with its content-hash key."""
     before = cache.stats() if cache is not None else {}
     results: Dict = {}
     pending = []
@@ -487,12 +384,10 @@ def _run_cached_jobs(jobs, cell_fn, descriptor_fn, workers,
         pending.append(job)
         pending_keys.append(key)
     if pending:
-        for job, result in zip(pending,
-                               _map_pending(cell_fn, pending,
-                                            pending_keys, workers,
-                                            service)):
-            results[job] = result
-        if cache is not None:
+        done = map_jobs(cell_fn, pending, workers, service,
+                        keys=pending_keys)
+        results.update(zip(pending, done))
+        if cache is not None and not _publishes_to(service, cache):
             for job, key in zip(pending, pending_keys):
                 cache.put(key, results[job])
     _sweep_cache_summary(cache, before)
@@ -531,7 +426,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="submit cells to the persistent service "
                              "daemon rendezvoused in STATE_DIR "
                              "(default .repro-service) instead of a "
-                             "fresh pool")
+                             "fresh fleet")
     args = parser.parse_args(argv)
     if args.obs:
         os.environ[OBS_ENV] = args.obs

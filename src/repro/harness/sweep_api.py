@@ -1,50 +1,49 @@
 """One declarative entry point for every sensitivity sweep.
 
-The harness grew three near-identical sweep functions —
-``sweep_ccured_safe_fraction_parallel``,
-``sweep_objtable_elision_parallel``, ``sweep_tag_cache_parallel`` —
-each hand-rolling the same shape: build a (workload × grid) job
-list, resolve it through the result cache, shard the misses over a
-pool, reduce.  :func:`run_sweep` replaces all three behind a
-declarative :class:`SweepSpec`::
+Each sweep kind is defined here in one place — its job list, its
+worker cell, its cache descriptor and its reduction — and
+:func:`run_sweep` executes any of them behind a declarative
+:class:`SweepSpec`::
 
-    from repro.harness import SweepSpec, run_sweep
+    from repro.harness import ResultCache, SweepSpec, run_sweep
 
     spec = SweepSpec(kind="objtable", workloads=("treeadd", "power"),
                      grid=(0.0, 0.5, 0.95))
     curve = run_sweep(spec, workers=4, cache=ResultCache(".repro-cache"))
 
-and every spec executes identically on all three backends:
-
-* in process (``workers=1``),
-* a fresh pool (``workers=N`` — :func:`map_jobs`),
-* the persistent service (``service=`` a
-  :class:`repro.service.Client` or in-process ``Service``), where
-  cells are submitted with their content-hash keys so identical
-  in-flight cells deduplicate and the shared store serves repeats.
-
-The old entry points survive as thin deprecated wrappers in
-:mod:`repro.harness.parallel`.
+Cells resolve through the on-disk :class:`ResultCache` and the misses
+run on :func:`repro.harness.parallel.map_jobs`: in process
+(``workers=1``), on a short-lived worker fleet (``workers=N``), or on
+the persistent service (``service=`` a :class:`repro.service.Client`
+or in-process ``Service``).  Every cell carries its content-hash key,
+so identical in-flight cells deduplicate and a service store serves
+repeats.  The serial functions in :mod:`repro.harness.sweeps` are the
+references these cells are tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
+from repro.baselines.objtable import ObjectTableModel
+from repro.caches.hierarchy import CacheParams
 from repro.harness.parallel import (
     CACHE_SCHEMA,
+    ObjTableSummary,
     ResultCache,
-    _ccured_fraction_cell,
     _knob_descriptor,
-    _objtable_descriptor,
-    _objtable_elision_cell,
     _run_cached_jobs,
-    _tag_cache_cell,
-    _tag_cache_descriptor,
+    _with_obs,
 )
-from repro.harness.runner import source_digest
-from repro.machine.config import ENGINE_SUPERBLOCKS, ENGINES
+from repro.harness.runner import run_workload, source_digest
+from repro.harness.sweeps import _engine_factory
+from repro.machine.config import (
+    ENGINE_SUPERBLOCKS,
+    ENGINES,
+    MachineConfig,
+    SafetyMode,
+)
 from repro.workloads.registry import WORKLOADS
 
 #: registered sweep kinds (the validation error lists these)
@@ -96,11 +95,27 @@ class SweepSpec:
                              % (self.engine, ", ".join(ENGINES)))
 
 
+def _ccured_fraction_cell(
+        job: Tuple[str, Optional[float]]) -> Tuple[str, Optional[float],
+                                                   int]:
+    """Worker: cycles of one workload at one CCured SAFE fraction.
+
+    A ``None`` fraction is the plain-core baseline cell.
+    """
+    name, fraction = job
+    if fraction is None:
+        config = MachineConfig.plain()
+    else:
+        config = MachineConfig(mode=SafetyMode.FULL,
+                               encoding="uncompressed",
+                               engine_factory=_engine_factory(fraction))
+    return name, fraction, run_workload(name, _with_obs(config)).cycles
+
+
 def _ccured_descriptor(name: str, fraction: Optional[float]) -> dict:
     """Cell identity for the CCured SAFE-fraction sweep.
 
-    New with the unified API: these cells were never cacheable
-    before.  ``fraction=None`` is the plain-core baseline cell.
+    ``fraction=None`` is the plain-core baseline cell.
     """
     descr = {
         "schema": CACHE_SCHEMA,
@@ -130,6 +145,38 @@ def _ccured_reduce(spec: SweepSpec, results: Dict) -> Dict[float, float]:
             for fraction in spec.grid}
 
 
+def _objtable_elision_cell(job: Tuple[str, Optional[float], str]):
+    """Worker: one workload at one object-table elision fraction.
+
+    A ``None`` fraction is the plain-core baseline cell (timing on,
+    matching :func:`repro.harness.sweeps.sweep_objtable_elision`).
+    """
+    name, fraction, engine = job
+    if fraction is None:
+        return run_workload(name,
+                            _with_obs(MachineConfig.plain(engine=engine)))
+    model = ObjectTableModel(elide_fraction=fraction)
+    result = run_workload(
+        name, _with_obs(MachineConfig.hardbound(timing=False,
+                                                engine=engine)),
+        observer=model)
+    return ObjTableSummary(model, result.manifest)
+
+
+def _objtable_descriptor(name: str, fraction: Optional[float],
+                         engine: str) -> dict:
+    descr = {
+        "schema": CACHE_SCHEMA,
+        "sweep": "objtable-elision",
+        "source": source_digest(WORKLOADS[name].source),
+        "workload": name,
+        "fraction": fraction,
+        "engine": engine,
+    }
+    descr.update(_knob_descriptor())
+    return descr
+
+
 def _objtable_jobs(spec: SweepSpec):
     jobs = [(name, None, spec.engine) for name in spec.workloads]
     jobs += [(name, fraction, spec.engine) for fraction in spec.grid
@@ -148,6 +195,31 @@ def _objtable_reduce(spec: SweepSpec,
             total += (base.cycles + summary.extra_uops) / base.cycles
         out[fraction] = total / len(spec.workloads)
     return out
+
+
+def _tag_cache_cell(job: Tuple[str, int, str, str]):
+    """Worker: one workload under one tag-metadata-cache size."""
+    name, size, encoding, engine = job
+    params = CacheParams(tag_cache_size=size)
+    return run_workload(
+        name, _with_obs(MachineConfig.hardbound(encoding=encoding,
+                                                engine=engine)),
+        cache_params=params)
+
+
+def _tag_cache_descriptor(name: str, size: int, encoding: str,
+                          engine: str) -> dict:
+    descr = {
+        "schema": CACHE_SCHEMA,
+        "sweep": "tag-cache",
+        "source": source_digest(WORKLOADS[name].source),
+        "workload": name,
+        "tag_cache_size": size,
+        "encoding": encoding,
+        "engine": engine,
+    }
+    descr.update(_knob_descriptor())
+    return descr
 
 
 def _tagcache_jobs(spec: SweepSpec):
@@ -195,9 +267,8 @@ def run_sweep(spec: SweepSpec, *, workers: int = 2,
               cache: Optional[ResultCache] = None, service=None):
     """Execute one :class:`SweepSpec` and reduce it (see module).
 
-    Returns the same shape the sweep's legacy entry point returned:
-    ``{fraction: mean overhead}`` for ``ccured``/``objtable``,
-    ``{(workload, size): {"cycles", "tag_miss_rate"}}`` for
+    Returns ``{fraction: mean overhead}`` for ``ccured``/``objtable``
+    and ``{(workload, size): {"cycles", "tag_miss_rate"}}`` for
     ``tagcache``.  ``service`` (a ``repro.service`` Client or
     Service) takes precedence over ``workers``.
     """

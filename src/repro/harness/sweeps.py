@@ -10,7 +10,7 @@ plausible range, not just at the calibrated point.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from repro.baselines.fatptr import SoftBoundEngine
 from repro.baselines.objtable import ObjectTableModel
@@ -31,18 +31,11 @@ def _engine_factory(safe_fraction: float):
 
 def sweep_ccured_safe_fraction(
         workloads: Iterable[str],
-        fractions: Iterable[float],
-        workers: Optional[int] = None) -> Dict[float, float]:
+        fractions: Iterable[float]) -> Dict[float, float]:
     """Average CCured-sim runtime overhead per SAFE fraction.
 
-    With ``workers``, the (workload × fraction) grid is sharded
-    across processes by the parallel harness.
+    The serial reference of ``run_sweep(SweepSpec(kind="ccured"))``.
     """
-    if workers is not None and workers > 1:
-        from repro.harness.sweep_api import SweepSpec, run_sweep
-        return run_sweep(
-            SweepSpec(kind="ccured", workloads=tuple(workloads),
-                      grid=tuple(fractions)), workers=workers)
     out: Dict[float, float] = {}
     names = list(workloads)
     bases = {name: run_workload(name, MachineConfig.plain())
@@ -63,18 +56,11 @@ def sweep_ccured_safe_fraction(
 
 def sweep_objtable_elision(
         workloads: Iterable[str],
-        fractions: Iterable[float],
-        workers: Optional[int] = None) -> Dict[float, float]:
+        fractions: Iterable[float]) -> Dict[float, float]:
     """Average object-table runtime overhead per elision fraction.
 
-    With ``workers``, the (workload × fraction) grid is sharded
-    across processes by the parallel harness.
+    The serial reference of ``run_sweep(SweepSpec(kind="objtable"))``.
     """
-    if workers is not None and workers > 1:
-        from repro.harness.sweep_api import SweepSpec, run_sweep
-        return run_sweep(
-            SweepSpec(kind="objtable", workloads=tuple(workloads),
-                      grid=tuple(fractions)), workers=workers)
     out: Dict[float, float] = {}
     names = list(workloads)
     bases = {name: run_workload(name, MachineConfig.plain())

@@ -7,27 +7,28 @@ asserts it does not shrink):
   over a daemon socket;
 * :class:`Service` / :class:`JobSpec` — the in-process dispatcher
   and its unit of work;
-* :class:`ResultStore` — the shared content-addressed result store;
 * the failure types :class:`ServiceError`, :class:`ServiceClosed`,
   :class:`JobFailed`, :class:`JobTimeout`.
 
-See ``docs/SERVICE.md`` for architecture, the warm-cache contract,
-and failure semantics; ``python -m repro.service`` for the daemon
-CLI (``start`` / ``status`` / ``stop`` / ``bench``).
+A fleet's shared store is the harness's
+:class:`~repro.harness.parallel.ResultCache` (pass it, or a
+directory, as ``Service(store=...)``); ``map_jobs`` runs every
+``workers > 1`` job on a :class:`Service`.  See ``docs/SERVICE.md``
+for architecture, the warm-cache contract, and failure semantics;
+``python -m repro.service`` for the daemon CLI (``start`` /
+``status`` / ``stop`` / ``bench``).
 """
 
 from repro.service.client import STATE_DIR, Client, connect
 from repro.service.dispatch import (JobFailed, JobSpec, JobTimeout,
                                     Service, ServiceClosed,
                                     ServiceError)
-from repro.service.store import ResultStore
 
 __all__ = [
     "Client",
     "connect",
     "Service",
     "JobSpec",
-    "ResultStore",
     "ServiceError",
     "ServiceClosed",
     "JobFailed",

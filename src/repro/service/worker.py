@@ -2,7 +2,7 @@
 
 A worker is one OS process that imports the simulator *once* and then
 loops on its pipe: receive a job, run it, publish the result, report
-back.  Everything expensive a per-invocation pool pays per sweep —
+back.  Everything expensive a short-lived fleet pays per sweep —
 interpreter start, ``import repro``, MiniC compiles
 (:data:`repro.harness.runner._program_cache`), generated probe
 sources (per-geometry compiled by the fast memory model), block
@@ -15,8 +15,8 @@ entirely, which the per-job ``warm`` flag and the run's
 Protocol (dispatcher → worker over a duplex pipe):
 
 * ``(job_id, fn, arg, key)`` — run ``fn(arg)``.  ``fn`` must be an
-  importable module-level callable (the same contract as
-  ``ProcessPoolExecutor``); ``key`` is the job's content-hash store
+  importable module-level callable and ``arg`` picklable (the
+  ``map_jobs`` contract); ``key`` is the job's content-hash store
   key or ``None``.
 * ``None`` — graceful shutdown: finish nothing new, exit 0.
 
@@ -34,14 +34,14 @@ import time
 from typing import Optional
 
 
-def worker_main(wid: int, conn, store_dir: Optional[str]) -> None:
+def worker_main(conn, store_dir: Optional[str]) -> None:
     """Worker process entry point (see module docstring)."""
     # import inside the worker so a spawn-context worker pays its
     # one-time import here, visibly, not lazily inside the first job
     from repro.harness import runner
-    from repro.service.store import ResultStore
+    from repro.harness.parallel import ResultCache
 
-    store = ResultStore(store_dir) if store_dir else None
+    store = ResultCache(store_dir) if store_dir else None
     while True:
         try:
             msg = conn.recv()
@@ -68,7 +68,7 @@ def worker_main(wid: int, conn, store_dir: Optional[str]) -> None:
         if status == "ok" and store is not None and key is not None:
             try:
                 # concurrent publish is safe: tmp + atomic rename
-                store.put(key, result, meta={"worker": wid})
+                store.put(key, result)
             except Exception:
                 pass  # publishing is best-effort; the reply stands
         try:

@@ -1,5 +1,7 @@
 """Figure builders and the measurement runner on a reduced matrix."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.harness.figures import (
@@ -60,6 +62,34 @@ def test_figure5_breakdown_fields(small_matrix):
                         "pollution", "total"}
     assert seg["total"] > 0
     assert seg["setbound"] >= 0
+
+
+class _MemStats(dict):
+    """Just the ``mem_stats`` surface :func:`figure5_breakdown` reads."""
+
+    def __init__(self, data_stall_cycles, metadata_stall_cycles=0):
+        super().__init__(
+            data=SimpleNamespace(stall_cycles=data_stall_cycles))
+        self._meta = metadata_stall_cycles
+
+    def metadata_stall_cycles(self):
+        return self._meta
+
+
+def test_figure5_pollution_is_reported_raw():
+    # metadata traffic that *relieves* data stalls must show up as a
+    # negative pollution segment, not be clamped away to 0
+    base = SimpleNamespace(cycles=1000, instructions=800,
+                           mem_stats=_MemStats(100))
+    run = SimpleNamespace(cycles=1050, instructions=820,
+                          hb_stats=SimpleNamespace(meta_uops=30),
+                          mem_stats=_MemStats(80, 20))
+    bench = SimpleNamespace(base=base, encodings={"extern4": run})
+    seg = figure5_breakdown(bench, "extern4")
+    assert seg["pollution"] == pytest.approx(-0.02)
+    assert seg["total"] == pytest.approx(0.05)
+    _, rows = figure5_table({"synthetic": bench}, ("extern4",))
+    assert rows[0][5] == "-2.0%"
 
 
 def test_figure6_table_structure(small_matrix):

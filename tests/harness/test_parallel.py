@@ -1,17 +1,20 @@
 """Sharded matrix harness: worker equivalence and on-disk caching."""
 
+import os
 import pickle
+
+import pytest
 
 from repro.harness.parallel import (
     ObjTableSummary,
     ResultCache,
     cell_descriptor,
+    map_jobs,
     run_benchmark_matrix_parallel,
     run_cell,
-    sweep_objtable_elision_parallel,
-    sweep_tag_cache_parallel,
 )
 from repro.harness.runner import run_benchmark_matrix
+from repro.harness.sweep_api import SweepSpec, run_sweep
 from repro.obs.metrics import REGISTRY
 from repro.harness.sweeps import (
     sweep_ccured_safe_fraction,
@@ -22,6 +25,19 @@ WORKLOADS = ("treeadd", "power")
 ENCODINGS = ("intern11",)
 #: cells per workload: base + intern11 + ccured + objtable
 CELLS = len(WORKLOADS) * 4
+
+
+def exit_once(job):
+    """Fleet job: die hard on the first attempt at ``marker``."""
+    marker, value = job
+    if marker is not None and not os.path.exists(marker):
+        open(marker, "w").close()
+        os._exit(1)
+    return value
+
+
+def raise_value_error(message):
+    raise ValueError(message)
 
 
 def assert_matrices_equal(parallel, serial):
@@ -79,8 +95,6 @@ class TestShardedMatrix:
 
     def test_corrupt_entry_counted_deleted_and_rewritten(
             self, tmp_path):
-        import os
-
         cache = ResultCache(str(tmp_path / "cache"))
         key = ResultCache.key_of({"cell": "poisoned"})
         cache.put(key, {"value": 42})
@@ -165,8 +179,8 @@ class TestShardedSweeps:
         names = ["treeadd"]
         fractions = [0.5, 0.9]
         serial = sweep_ccured_safe_fraction(names, fractions)
-        parallel = sweep_ccured_safe_fraction(names, fractions,
-                                              workers=2)
+        parallel = run_sweep(SweepSpec(kind="ccured", workloads=names,
+                                       grid=fractions), workers=2)
         assert set(serial) == set(parallel)
         for fraction in serial:
             assert abs(serial[fraction] - parallel[fraction]) < 1e-12
@@ -175,9 +189,10 @@ class TestShardedSweeps:
         names = ["treeadd"]
         fractions = [0.0, 0.5]
         serial = sweep_objtable_elision(names, fractions)
+        spec = SweepSpec(kind="objtable", workloads=names,
+                         grid=fractions)
         cache = ResultCache(str(tmp_path / "cache"))
-        parallel = sweep_objtable_elision_parallel(
-            names, fractions, workers=2, cache=cache)
+        parallel = run_sweep(spec, workers=2, cache=cache)
         assert set(serial) == set(parallel)
         for fraction in serial:
             assert abs(serial[fraction] - parallel[fraction]) < 1e-12
@@ -185,8 +200,7 @@ class TestShardedSweeps:
         assert cache.misses == 1 + len(fractions)
 
         warm_cache = ResultCache(str(tmp_path / "cache"))
-        warm = sweep_objtable_elision_parallel(
-            names, fractions, workers=2, cache=warm_cache)
+        warm = run_sweep(spec, workers=2, cache=warm_cache)
         assert warm_cache.hits == 1 + len(fractions)
         assert warm_cache.misses == 0
         assert warm == parallel
@@ -195,7 +209,8 @@ class TestShardedSweeps:
         names = ["treeadd"]
         fractions = [0.5]
         serial = sweep_objtable_elision(names, fractions)
-        delegated = sweep_objtable_elision(names, fractions, workers=2)
+        delegated = run_sweep(SweepSpec(kind="objtable", workloads=names,
+                                        grid=fractions), workers=2)
         assert abs(serial[0.5] - delegated[0.5]) < 1e-12
 
     def test_tag_cache_sweep_matches_direct_runs(self, tmp_path):
@@ -205,9 +220,9 @@ class TestShardedSweeps:
 
         names = ["treeadd"]
         sizes = [512, 8192]
+        spec = SweepSpec(kind="tagcache", workloads=names, grid=sizes)
         cache = ResultCache(str(tmp_path / "cache"))
-        sweep = sweep_tag_cache_parallel(names, sizes, workers=2,
-                                         cache=cache)
+        sweep = run_sweep(spec, workers=2, cache=cache)
         assert set(sweep) == {("treeadd", 512), ("treeadd", 8192)}
         for size in sizes:
             run = run_workload(
@@ -221,7 +236,56 @@ class TestShardedSweeps:
                        - run.cpu.memsys.tag_cache.miss_rate()) < 1e-12
 
         warm_cache = ResultCache(str(tmp_path / "cache"))
-        warm = sweep_tag_cache_parallel(names, sizes, workers=2,
-                                        cache=warm_cache)
+        warm = run_sweep(spec, workers=2, cache=warm_cache)
         assert warm_cache.hits == len(sizes)
         assert warm == sweep
+
+
+class TestExecutor:
+    def test_crashed_job_is_requeued_once_and_returns(
+            self, tmp_path, monkeypatch):
+        from repro.obs.events import read_events
+
+        events = str(tmp_path / "events.jsonl")
+        monkeypatch.setenv("REPRO_OBS", events)
+        marker = str(tmp_path / "crashed-once")
+        jobs = [(marker, "recovered"), (None, "a"), (None, "b")]
+        assert map_jobs(exit_once, jobs, workers=2) \
+            == ["recovered", "a", "b"]
+        assert os.path.exists(marker)
+        requeues = [e for e in read_events(events)
+                    if e.get("ev") == "job_requeue"]
+        assert len(requeues) == 1
+        assert requeues[0]["reason"] == "crash"
+        assert requeues[0]["exitcode"] == 1
+
+    def test_raising_job_surfaces_as_job_failed(self):
+        from repro.service import JobFailed
+
+        with pytest.raises(JobFailed, match="ValueError: boom"):
+            map_jobs(raise_value_error, ["boom"], workers=2)
+        # inline, the original exception propagates unchanged
+        with pytest.raises(ValueError, match="boom"):
+            map_jobs(raise_value_error, ["boom"], workers=1)
+
+    def test_shared_store_is_written_once(self, tmp_path):
+        from repro.harness.sweep_api import _KINDS
+        from repro.service import Service
+
+        cache_dir = str(tmp_path / "cache")
+        cache = ResultCache(cache_dir)
+        spec = SweepSpec(kind="objtable", workloads=["treeadd"],
+                         grid=[0.0, 0.5])
+        kind = _KINDS[spec.kind]
+        keys = {ResultCache.key_of(kind.descriptor(*job))
+                for job in kind.jobs(spec)}
+        with Service(workers=2, store=cache_dir) as service:
+            sweep = run_sweep(spec, cache=cache, service=service)
+        # the fleet's workers published every cell; the harness
+        # wrote none of them a second time
+        assert cache.keys() == keys
+        assert cache.misses == len(keys)
+        assert cache.writes == 0
+        warm_cache = ResultCache(cache_dir)
+        assert run_sweep(spec, workers=1, cache=warm_cache) == sweep
+        assert warm_cache.hits == len(keys)

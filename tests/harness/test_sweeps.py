@@ -11,6 +11,7 @@ code paths.
 import pytest
 
 from repro.baselines.fatptr import SoftBoundEngine
+from repro.harness.sweep_api import SweepSpec, run_sweep
 from repro.harness.sweeps import (
     _engine_factory,
     hardbound_average,
@@ -55,8 +56,9 @@ class TestObjtableSweep:
         assert objtable_sweep[0.95] < objtable_sweep[0.0]
 
     def test_sharded_path_matches_serial(self, objtable_sweep):
-        sharded = sweep_objtable_elision(WORKLOAD, (0.0, 0.95),
-                                         workers=2)
+        sharded = run_sweep(SweepSpec(kind="objtable",
+                                      workloads=WORKLOAD,
+                                      grid=(0.0, 0.95)), workers=2)
         for fraction, value in objtable_sweep.items():
             assert sharded[fraction] == pytest.approx(value)
 

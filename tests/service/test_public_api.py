@@ -33,7 +33,6 @@ SERVICE_SURFACE = (
     "connect",
     "Service",
     "JobSpec",
-    "ResultStore",
     "ServiceError",
     "ServiceClosed",
     "JobFailed",
@@ -58,14 +57,3 @@ class TestPublicSurface:
                 assert getattr(module, name, None) is not None, \
                     "%s.%s exported but unresolvable" \
                     % (module.__name__, name)
-
-    def test_deprecated_sweeps_still_importable(self):
-        from repro.harness.parallel import (
-            sweep_ccured_safe_fraction_parallel,
-            sweep_objtable_elision_parallel,
-            sweep_tag_cache_parallel,
-        )
-        for fn in (sweep_ccured_safe_fraction_parallel,
-                   sweep_objtable_elision_parallel,
-                   sweep_tag_cache_parallel):
-            assert callable(fn)

@@ -1,110 +1,75 @@
-"""ResultStore: concurrent publication, enumeration, corruption."""
+"""ResultCache as the fleet's shared store: concurrent publication,
+enumeration, corruption."""
 
 import os
 import pickle
 
 from repro.harness.parallel import ResultCache, map_jobs
-from repro.service.store import INDEX_NAME, ResultStore
 
 
 def publish_one(job):
-    """Pool worker: publish one keyed entry into a shared store."""
-    store_dir, key, value = job
-    store = ResultStore(store_dir)
-    store.put(key, value, meta={"writer": os.getpid()})
+    """Fleet worker: publish one keyed entry into a shared cache."""
+    cache_dir, key, value = job
+    ResultCache(cache_dir).put(key, value)
     return key
 
 
-class TestResultStore:
-    def test_put_get_roundtrip_and_index(self, tmp_path):
-        store = ResultStore(str(tmp_path / "store"))
-        key = ResultStore.key_of({"cell": 1})
-        store.put(key, {"cycles": 99}, meta={"worker": 7})
-        assert store.get(key) == {"cycles": 99}
-        assert key in store
-        assert store.keys() == {key}
-        assert len(store) == 1
-        records = list(store.index())
-        assert len(records) == 1
-        assert records[0]["key"] == key
-        assert records[0]["meta"] == {"worker": 7}
+class TestSharedResultCache:
+    def test_put_get_roundtrip_and_keys(self, tmp_path):
+        cache = ResultCache(str(tmp_path / "store"))
+        key = ResultCache.key_of({"cell": 1})
+        cache.put(key, {"cycles": 99})
+        assert cache.get(key) == {"cycles": 99}
+        assert key in cache
+        assert cache.keys() == {key}
+        assert len(cache) == 1
 
     def test_concurrent_writers_all_entries_land(self, tmp_path):
-        store_dir = str(tmp_path / "store")
-        jobs = [(store_dir, ResultStore.key_of({"cell": i}),
+        cache_dir = str(tmp_path / "store")
+        jobs = [(cache_dir, ResultCache.key_of({"cell": i}),
                  {"value": i}) for i in range(24)]
         done = map_jobs(publish_one, jobs, workers=4)
-        store = ResultStore(store_dir)
-        assert set(done) == store.keys()
-        assert len(store) == len(jobs)
+        cache = ResultCache(cache_dir)
+        assert set(done) == cache.keys()
+        assert len(cache) == len(jobs)
         for _dir, key, value in jobs:
-            assert store.get(key) == value
-        # the O_APPEND index never tore a line
-        assert len(list(store.index())) == len(jobs)
-        entries = store.entries()
-        assert {record["key"] for record in entries} == store.keys()
+            assert cache.get(key) == value
 
     def test_racing_writers_on_one_key_last_wins_clean(self,
                                                       tmp_path):
-        store_dir = str(tmp_path / "store")
-        key = ResultStore.key_of({"cell": "contended"})
-        jobs = [(store_dir, key, {"value": i}) for i in range(8)]
+        cache_dir = str(tmp_path / "store")
+        key = ResultCache.key_of({"cell": "contended"})
+        jobs = [(cache_dir, key, {"value": i}) for i in range(8)]
         map_jobs(publish_one, jobs, workers=4)
-        store = ResultStore(store_dir)
-        got = store.get(key)
+        cache = ResultCache(cache_dir)
+        got = cache.get(key)
         # atomic publish: some complete value, never a torn read
         assert got in [{"value": i} for i in range(8)]
-        assert len(list(store.index())) == len(jobs)
-        assert [record["key"] for record in store.entries()] == [key]
+        # no temp file survives its rename
+        assert os.listdir(cache_dir) == [key + ".pkl"]
+        assert cache.keys() == {key}
 
-    def test_corrupt_entry_deleted_and_dropped_from_entries(
+    def test_corrupt_entry_deleted_and_dropped_from_keys(
             self, tmp_path):
-        store = ResultStore(str(tmp_path / "store"))
-        good = ResultStore.key_of({"cell": "good"})
-        bad = ResultStore.key_of({"cell": "bad"})
-        store.put(good, 1)
-        store.put(bad, 2)
-        with open(store._file(bad), "wb") as fh:
+        cache = ResultCache(str(tmp_path / "store"))
+        good = ResultCache.key_of({"cell": "good"})
+        bad = ResultCache.key_of({"cell": "bad"})
+        cache.put(good, 1)
+        cache.put(bad, 2)
+        with open(cache._file(bad), "wb") as fh:
             fh.write(b"\x80garbage")
-        assert store.get(bad) is None
-        assert store.stats()["corrupt"] == 1
-        assert not os.path.exists(store._file(bad))
-        # entries() follows the directory ground truth, not the index
-        assert [r["key"] for r in store.entries()] == [good]
-
-    def test_index_tolerates_torn_final_line(self, tmp_path):
-        store = ResultStore(str(tmp_path / "store"))
-        key = ResultStore.key_of({"cell": 1})
-        store.put(key, "x")
-        with open(os.path.join(store.path, INDEX_NAME), "a",
-                  encoding="utf-8") as fh:
-            fh.write('{"key": "trunc')  # writer killed mid-append
-        records = list(store.index())
-        assert len(records) == 1
-        assert records[0]["key"] == key
-
-    def test_same_format_as_result_cache(self, tmp_path):
-        """A service store serves harness-cached cells and vice versa."""
-        path = str(tmp_path / "shared")
-        cache = ResultCache(path)
-        key_a = ResultCache.key_of({"cell": "a"})
-        cache.put(key_a, {"from": "cache"})
-        store = ResultStore(path)
-        assert store.get(key_a) == {"from": "cache"}
-        key_b = ResultStore.key_of({"cell": "b"})
-        store.put(key_b, {"from": "store"})
-        assert cache.get(key_b) == {"from": "store"}
-        # identical descriptors hash identically across both classes
-        assert ResultCache.key_of({"d": 1}) \
-            == ResultStore.key_of({"d": 1})
+        assert cache.get(bad) is None
+        assert cache.stats()["corrupt"] == 1
+        assert not os.path.exists(cache._file(bad))
+        assert cache.keys() == {good}
 
     def test_entries_survive_process_restart(self, tmp_path):
         path = str(tmp_path / "store")
-        first = ResultStore(path)
-        key = ResultStore.key_of({"cell": 1})
-        first.put(key, list(range(10)), meta={"worker": 1})
-        second = ResultStore(path)  # fresh instance, same dir
+        first = ResultCache(path)
+        key = ResultCache.key_of({"cell": 1})
+        first.put(key, list(range(10)))
+        second = ResultCache(path)  # fresh instance, same dir
         assert second.get(key) == list(range(10))
-        assert pickle.loads(
-            open(second._file(key), "rb").read()) == list(range(10))
-        assert [r["key"] for r in second.entries()] == [key]
+        with open(second._file(key), "rb") as fh:
+            assert pickle.load(fh) == list(range(10))
+        assert second.keys() == {key}
