@@ -7,14 +7,16 @@ workload):
 * the pre-decoded closure engine must stay at least 2x faster than
   the legacy dispatch loop on the functional sweep;
 * the fused block engine (``superblocks``: every basic block one
-  generated closure with the instruction bodies, the fast
-  memory-timing charges and the metadata paths inlined, re-bound
+  generated closure with the instruction bodies and the metadata
+  paths inlined and the fast memory-timing charges calling the
+  model's compiled probes, re-bound
   from program-keyed fusion plans on later runs) must not lose to
   the decoded engine on the warm functional sweep and must clear the
   committed ``FLOOR_TIMED_FAST_VS_DECODED`` on the warm timed sweep;
-* a fresh-process HardBound timed Olden sweep, fused vs decoded, is
-  recorded as ``cold.fast_vs_decoded`` — not asserted, since the
-  fused engine pays its block compilation inside that sweep;
+* a fresh-process HardBound timed Olden sweep, fused vs decoded
+  (``cold.fast_vs_decoded``), must clear the committed
+  ``FLOOR_COLD_FAST_VS_DECODED``: the fused engine pays its block
+  compilation inside that sweep and must still not lose;
 * the observability layer must be effectively free: with
   ``obs_events`` on, the timed fused sweep must stay within
   ``FLOOR_OBS_OVERHEAD_RATIO`` (events-off/events-on seconds ≥
@@ -36,8 +38,8 @@ report of ``python -m repro.obs.report``).
 The measured seconds and speedups are written to
 ``results/BENCH_engine.json`` so CI keeps a machine-readable record,
 and CI's ``bench-gate`` step fails the build if the freshly emitted
-``timed.fast_vs_decoded`` falls below the committed floor (see
-``benchmarks/check_bench_gate.py``).
+``timed.fast_vs_decoded`` or ``cold.fast_vs_decoded`` falls below its
+committed floor (see ``benchmarks/check_bench_gate.py``).
 """
 
 import json
@@ -48,6 +50,7 @@ import tempfile
 import time
 
 from check_bench_gate import (
+    FLOOR_COLD_FAST_VS_DECODED,
     FLOOR_OBS_OVERHEAD_RATIO,
     FLOOR_SERVICE_WARM_VS_COLD,
     FLOOR_TIMED_FAST_VS_DECODED,
@@ -374,6 +377,8 @@ def test_engine_speedups(benchmark):
     assert speedups[False]["fast_vs_decoded"] >= 1.0, speedups
     assert (speedups[True]["fast_vs_decoded"]
             >= FLOOR_TIMED_FAST_VS_DECODED), speedups
+    # ... and must not lose to decoded in a fresh process either
+    assert cold["fast_vs_decoded"] >= FLOOR_COLD_FAST_VS_DECODED, cold
     # observability: event tracing must cost under ~2% on the timed
     # fused sweep (host-independent — both sweeps run in the same
     # process)

@@ -9,6 +9,10 @@ run; this script is the step right after it and fails the build when
   Olden sweep) falls below ``FLOOR_TIMED_FAST_VS_DECODED`` — the
   ratio is host-independent because both engines run on the same
   machine in the same process, or
+* the record's ``cold.fast_vs_decoded`` (a fresh-process HardBound
+  timed Olden sweep, fused vs decoded) falls below
+  ``FLOOR_COLD_FAST_VS_DECODED`` — the default engine must never
+  lose to decoded in a fresh process, block compilation included, or
 * the record's ``obs_overhead.ratio`` (timed fused sweep,
   events-off seconds over events-on seconds) falls below
   ``FLOOR_OBS_OVERHEAD_RATIO`` — event tracing must stay under ~2%
@@ -31,11 +35,6 @@ run; this script is the step right after it and fails the build when
   lifecycle smoke (``tests/service/test_smoke.py``: CLI start,
   socket submissions, store-served second pass, drain, stop) did not
   run and pass.
-
-The record's ``cold.fast_vs_decoded`` (a fresh-process HardBound
-timed Olden sweep, fused vs decoded) is printed but not gated: the
-fused engine still pays its block compilation up front, so it may
-trail decoded in a cold process.
 
 Freshness: ``results/BENCH_engine.json`` is tracked in git, so the
 workflow deletes it (and any stale junit) before the suites run —
@@ -62,6 +61,14 @@ import xml.etree.ElementTree as ET
 #: same machine.  The committed record measures 2.52x; the floor
 #: keeps a noise margin below it.
 FLOOR_TIMED_FAST_VS_DECODED = 2.2
+
+#: committed floor for the cold fast-vs-decoded speedup: the same
+#: fresh-process HardBound timed Olden sweep under the decoded engine
+#: over the fused engine, each in its own interpreter, so the fused
+#: side pays CFG discovery, source generation and ``compile()`` for
+#: every block inside the timed region.  Host-independent: both
+#: interpreters run interleaved on the same machine.
+FLOOR_COLD_FAST_VS_DECODED = 1.0
 
 #: committed floor for the instrumentation-overhead ratio of the
 #: observability layer: timed fused-engine sweep seconds with
@@ -133,8 +140,14 @@ def check_record(path: str, floor: float, errors: list) -> None:
         errors.append("%s has no cold.fast_vs_decoded — the "
                       "cold-process sweep did not run" % path)
     else:
-        print("bench-gate: cold fast_vs_decoded = %.2fx "
-              "(informational)" % cold)
+        print("bench-gate: cold fast_vs_decoded = %.2fx (floor %.2fx)"
+              % (cold, FLOOR_COLD_FAST_VS_DECODED))
+        if cold < FLOOR_COLD_FAST_VS_DECODED:
+            errors.append(
+                "cold fast_vs_decoded %.3fx is below the committed "
+                "floor %.2fx — the fused engine loses to the decoded "
+                "engine in a fresh process"
+                % (cold, FLOOR_COLD_FAST_VS_DECODED))
     ratio = (record.get("obs_overhead") or {}).get("ratio")
     if ratio is None:
         errors.append("%s has no obs_overhead.ratio — the "

@@ -31,10 +31,13 @@ cross-block traces).
    The fused word memory templates inline the whole load/store body:
    effective-address arithmetic, the HardBound bounds check, the
    flat-heap segment check (which doubles as arena routing — see
-   :mod:`repro.machine.memory`), the word-view access, the
-   :class:`~repro.caches.fast.FastMemorySystem` word+tag probe with
-   its composite-MRU short circuit, and the pointer-metadata
-   load/store.  The generic-form templates mirror the decoded
+   :mod:`repro.machine.memory`), the word-view access, the timing
+   charge and the pointer-metadata load/store.  The timing charge is
+   the decoded closure's: the composite-MRU hit inline (two counter
+   bumps), otherwise one call of the env-bound compiled
+   :class:`~repro.caches.fast.FastMemorySystem` probe, so no
+   generated block source depends on cache geometry.  The
+   generic-form templates mirror the decoded
    *generic* closures, calling the same env-bound engine entry points
    in the same order.  **Template invariant:** every template is a
    source-level copy of the corresponding decoded closure body —
@@ -73,14 +76,8 @@ import re
 import types
 import weakref
 from time import perf_counter
-from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
-from repro.caches.fast import (
-    FastMemorySystem,
-    data_probe_lines,
-    word_probe_lines,
-)
 from repro.isa.opcodes import Op, REG_FP, REG_RA, REG_SP
 from repro.isa.program import Program
 from repro.layout import (
@@ -338,11 +335,6 @@ class _FuseCtx:
     fused memory template never covers a configuration the decoded
     closures would route through generic engine calls.
 
-    ``assoc_sig`` carries the fast model's associativity geometry
-    (TLB, L1, tag cache, L2): the inlined probe bodies unroll their
-    way scans over it, so it is part of the memory templates' shape
-    identity.
-
     Shapes outside the inline fast path fuse as source-level mirrors
     of the decoded *generic* closures (which call the same env-bound
     engine entry points in the same order, so the equivalence holds
@@ -352,7 +344,6 @@ class _FuseCtx:
 
     __slots__ = ("observer_none", "full_mode", "fuse_hb_mem",
                  "hb_timing", "fuse_plain_mem", "plain_timing",
-                 "assoc_sig", "assoc_tag",
                  "hb_present", "inline_check", "use_words",
                  "has_temporal", "timing", "comp_expr", "comp_tag")
 
@@ -385,20 +376,12 @@ class _FuseCtx:
         self.plain_timing = env.dprobe is not None
         self.fuse_plain_mem = (mem_ok and env.hb is None
                                and (not timing or self.plain_timing))
-        if isinstance(env.memsys, FastMemorySystem):
-            p = env.memsys.params
-            self.assoc_sig = (p.tlb_assoc, p.l1_assoc,
-                              p.tag_cache_assoc, p.l2_assoc)
-            self.assoc_tag = "_a" + "-".join(map(str, self.assoc_sig))
-        else:
-            self.assoc_sig = None
-            self.assoc_tag = ""
 
     def key(self) -> tuple:
         """Everything template selection depends on (the plan key)."""
         return (self.observer_none, self.full_mode, self.fuse_hb_mem,
                 self.hb_timing, self.fuse_plain_mem,
-                self.plain_timing, self.assoc_sig, self.hb_present,
+                self.plain_timing, self.hb_present,
                 self.inline_check, self.use_words, self.has_temporal,
                 self.timing, self.comp_tag)
 
@@ -414,16 +397,30 @@ _HEAP = str(HEAP_BASE)
 _GLOB = str(GLOBAL_BASE)
 _STOP = str(STACK_TOP)
 
-# The fast memory-model charge bodies are emitted by
-# repro.caches.fast's line emitters (word_probe_lines /
-# data_probe_lines): the same source the closure probes are compiled
-# from, parameterized by the associativity geometry (way scans are
-# unrolled for assoc <= 4 over the flat recency-ordered way tables).
-# The
-# lines carry no per-instruction placeholders, so they are inlined
-# into the memory templates verbatim; the assoc geometry becomes part
-# of the template shape (``_FuseCtx.assoc_tag``) because it changes
-# the generated source.
+# The timing charge is the decoded closure's, line for line: the
+# composite-MRU hit (the access repeats the previous probe's key
+# granule, so only the access counters advance) inline, everything
+# else one call of the fast model's compiled probe.  How an access is
+# charged lives in repro.caches.fast alone.
+
+#: word access + its tag byte (load_s_word & friends)
+_WORD_CHARGE = [
+    "wkey = ea >> _wps",
+    "if wkey == _wpm[0] and (ea + 3) >> _wps == wkey:",
+    "    _wdc[0] += 1",
+    "    _wtc[0] += 1",
+    "else:",
+    "    _wp(ea)",
+]
+
+#: plain data word (load_s_word_plain & friends)
+_DATA_CHARGE = [
+    "bkey = ea >> _dps",
+    "if bkey == _dpm[0] and (ea + 3) >> _dps == bkey:",
+    "    _dc[0] += 1",
+    "else:",
+    "    _dp(ea)",
+]
 
 
 def _word_read_lines(acc: str, stack_first: bool = False) -> List[str]:
@@ -601,43 +598,35 @@ def _mem_part(instr, i: int, ctx: _FuseCtx) -> Optional[_Part]:
                                      "si" if si else "s",
                                      frame, ctx.full_mode, timing,
                                      ctx.comp_tag)
-        if timing:
-            shape += ctx.assoc_tag
-            wprobe = list(word_probe_lines(*ctx.assoc_sig,
-                                           skip_cell=True))
         lines = [ea_line]
         lines += _hb_check_lines(acc, si, frame, ctx.full_mode)
         if load:
             lines += _word_read_lines(acc, frame)
             if timing:
-                lines += wprobe
+                lines += _WORD_CHARGE
             lines += _load_meta_lines(timing, comp)
         else:
             lines += _word_write_lines(acc, frame)
             if timing:
-                lines += wprobe
+                lines += _WORD_CHARGE
             lines += _store_meta_lines(timing, comp)
         return _Part(shape, params, lines)
     if ctx.fuse_plain_mem:
         timing = ctx.plain_timing
         shape = "%spl_%s%d%d" % ("ld" if load else "st",
                                  "si" if si else "s", frame, timing)
-        if timing:
-            shape += ctx.assoc_tag
-            sig = ctx.assoc_sig
-            dprobe = list(data_probe_lines(sig[0], sig[1], sig[3]))
         lines = [ea_line]
         if load:
             lines += _word_read_lines(acc, frame)
             if timing:
-                lines += dprobe
+                lines += _DATA_CHARGE
             lines += ["value[rd{i}] = v",
                       "rbase[rd{i}] = 0",
                       "rbound[rd{i}] = 0"]
         else:
             lines += _word_write_lines(acc, frame)
             if timing:
-                lines += dprobe
+                lines += _DATA_CHARGE
         return _Part(shape, params, lines)
     return None
 
@@ -1052,45 +1041,20 @@ def _part_spec(parts: List[_Part]) -> list:
         spec.extend(values)
     return spec
 
-#: template parameter name -> FastMemorySystem.inline_env field.
-#: Single source of truth for the fast memory-model inline
-#: environment (geometry, per-kind records, way tables and composite
-#: cells); the fuser signature and the per-block value vector are
-#: both derived from it, so a field can only be added or renamed in
-#: one place.
-_MI_PARAMS = (
-    ("_bs", "block_shift"), ("_ps", "page_shift"),
-    ("_fs", "fig_shift"), ("_tlm", "tlb_mask"),
-    ("_l2k", "l2_keys"), ("_l2m", "l2_mask"),
-    ("_tpen", "tlb_pen"), ("_1pen", "l1_pen"), ("_2pen", "l2_pen"),
-    ("_dct", "dctr"), ("_dpg", "dpages_add"),
-    ("_dtlk", "dtlb_keys"), ("_dtm", "dtlb_mru"),
-    ("_l1k", "dkeys"), ("_dma", "dmask"), ("_dmr", "dmru"),
-    ("_dfg", "dfig_mru"),
-    ("_tct", "tctr"), ("_tpg", "tpages_add"),
-    ("_ttlk", "ttlb_keys"), ("_ttm", "ttlb_mru"),
-    ("_tck", "tkeys"), ("_tma", "tmask"), ("_tmr", "tmru"),
-    ("_tfg", "tfig_mru"),
-    ("_tb", "tag_base"), ("_ts", "tag_shift"),
-    ("_wpm", "wp_mru"), ("_wps", "wp_shift"), ("_cmpw", "wp_composite"),
-    ("_dpm", "dp_mru"), ("_cmpd", "dp_composite"),
-    ("_wsk", "wp_skip"),
-)
-
 #: shared environment parameters appended to every fuser signature:
 #: the register arrays, program length and code-pointer trap, then
 #: the memory environment (arena cells, segment bounds, raw spill
 #: entry points), the HardBound metadata environment, the fast
-#: memory-model inline environment, the trap constructors the
-#: memory templates raise, and the generic entry points the
-#: generic-form templates call (the cpu, ``to_signed``, ``sbrk``,
-#: the byte-level memory accessors, the timing/temporal/observer
-#: hooks and the metadata-engine methods)
+#: memory model's compiled probes with their composite-hit cells,
+#: the trap constructors the memory templates raise, and the generic
+#: entry points the generic-form templates call (the cpu,
+#: ``to_signed``, ``sbrk``, the byte-level memory accessors, the
+#: timing/temporal/observer hooks and the metadata-engine methods)
 _ENV_PARAMS = (
     "value", "rbase", "rbound", "_n", "_icpe",
     "_mem", "_heap", "_glob", "_stk", "_gl", "_sb", "_rr", "_rw",
     "_hbs", "_meta", "_mg", "_mp", "_isc", "_sp",
-) + tuple(name for name, _ in _MI_PARAMS) + (
+    "_wp", "_wpm", "_wps", "_wdc", "_wtc", "_dp", "_dpm", "_dps", "_dc",
     "_be", "_npe", "_mf", "_dbz",
     "_cpu", "_tsg", "_sbrk", "_mr", "_mw", "_da", "_tc", "_ob",
     "_tmp", "_hbc", "_hblw", "_hbls", "_hbsw", "_hbss",
@@ -1155,11 +1119,6 @@ class _Fuser:
         self.code = code
         self.instrs = cpu.program.instrs
         self.ctx = _FuseCtx(env)
-        if isinstance(env.memsys, FastMemorySystem):
-            mi = env.memsys.inline_env(env.tag_base, env.tag_shift)
-        else:
-            mi = SimpleNamespace(**{field: None
-                                    for _, field in _MI_PARAMS})
         env_map = {
             "value": env.value, "rbase": env.rbase,
             "rbound": env.rbound,
@@ -1171,6 +1130,10 @@ class _Fuser:
             "_hbs": env.hb_stats, "_meta": env.meta_map,
             "_mg": env.meta_get, "_mp": env.meta_pop,
             "_isc": env.is_comp, "_sp": env.sprobe,
+            "_wp": env.wprobe, "_wpm": env.wp_mru, "_wps": env.wp_shift,
+            "_wdc": env.wp_dctr, "_wtc": env.wp_tctr,
+            "_dp": env.dprobe, "_dpm": env.dp_mru, "_dps": env.dp_shift,
+            "_dc": env.dp_ctr,
             "_be": BoundsError, "_npe": NonPointerError,
             "_mf": MemoryFault, "_dbz": DivideByZeroError,
             "_cpu": cpu, "_tsg": to_signed, "_sbrk": env.mem_sbrk,
@@ -1181,8 +1144,6 @@ class _Fuser:
             "_hbls": env.hb_load_sub, "_hbsw": env.hb_store_word,
             "_hbss": env.hb_store_sub,
         }
-        for name, field in _MI_PARAMS:
-            env_map[name] = getattr(mi, field)
         self.env_vals = tuple(env_map[name] for name in _ENV_PARAMS)
 
     def make_parts(self, block: BasicBlock,

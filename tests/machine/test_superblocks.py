@@ -11,10 +11,12 @@ vs ``legacy`` in ``test_engine_differential``).
 """
 
 import builtins
+import weakref
 
 import pytest
 
 import repro.machine.blocks as blocks_mod
+from repro.caches.hierarchy import CacheParams
 from repro.harness.runner import compile_cached, run_workload
 from repro.isa import assemble
 from repro.machine import CPU, MachineConfig
@@ -370,6 +372,26 @@ class TestInlineCompressibleExpr:
         assert inline_compressible_expr(Odd(), "v", "b", "bd") is None
 
 
+def count_fuser_compiles(monkeypatch) -> list:
+    """From now on, record the source of every fuser ``compile()``."""
+    real_compile = builtins.compile
+    sources = []
+
+    def counting_compile(source, filename, *args, **kwargs):
+        if filename == blocks_mod._FUSE_FILENAME:
+            sources.append(source)
+        return real_compile(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", counting_compile)
+    return sources
+
+
+def result_snapshot(r):
+    return (r.exit_code, r.output, r.instructions, r.uops,
+            r.stall_cycles, r.cycles, r.setbound_uops,
+            r.hb_stats.as_dict(), r.mem_stats.as_dict())
+
+
 class TestFusionPlanCache:
     def test_second_run_rebinds_every_block_without_compiling(
             self, monkeypatch):
@@ -382,15 +404,7 @@ class TestFusionPlanCache:
         [plan] = blocks_mod._plan_cache[program].values()
         assert len(plan.blocks) == len(blocks_mod.build_cfg(program))
 
-        real_compile = builtins.compile
-        fuser_compiles = []
-
-        def counting_compile(source, filename, *args, **kwargs):
-            if filename == blocks_mod._FUSE_FILENAME:
-                fuser_compiles.append(filename)
-            return real_compile(source, filename, *args, **kwargs)
-
-        monkeypatch.setattr(builtins, "compile", counting_compile)
+        fuser_compiles = count_fuser_compiles(monkeypatch)
         cpu = CPU(program, config)
         second = cpu.run()
         assert fuser_compiles == []
@@ -400,6 +414,50 @@ class TestFusionPlanCache:
         assert second.engine_stats == first.engine_stats
         # every dispatch went through a re-bound block closure
         assert second.engine_stats["fallback_steps"] == 0
+
+    def test_fusion_does_not_depend_on_cache_geometry(self, monkeypatch):
+        """Fused memory templates call the fast model's compiled
+        probes, so a HardBound timed program fused under the default
+        geometry re-binds its plan under any other geometry — unrolled
+        (``assoc=1``) and bounded-scan (``assoc > 4``) probes alike —
+        without compiling fuser source, and still matches the legacy
+        engine's statistics under that geometry."""
+        monkeypatch.setattr(blocks_mod, "_fuse_cache", {})
+        monkeypatch.setattr(blocks_mod, "_plan_cache",
+                            weakref.WeakKeyDictionary())
+        config = MachineConfig.hardbound(engine="superblocks")
+        run_workload("treeadd", config)
+
+        fuser_compiles = count_fuser_compiles(monkeypatch)
+        params = CacheParams(l1_assoc=1, tag_cache_assoc=8,
+                             tlb_assoc=8, l2_assoc=16)
+        fused = run_workload("treeadd", config, cache_params=params)
+        assert fuser_compiles == []
+        legacy = run_workload(
+            "treeadd", MachineConfig.hardbound(engine="legacy"),
+            cache_params=params)
+        assert result_snapshot(fused) == result_snapshot(legacy)
+        # the geometry really changed the charge
+        default = run_workload("treeadd", config)
+        assert fused.mem_stats.as_dict() != default.mem_stats.as_dict()
+
+    def test_generated_source_per_static_instruction(self, monkeypatch):
+        """The fused templates carry the composite-hit lines and one
+        probe call, not whole probe bodies: a cold HardBound timed
+        Olden run compiles about 600 bytes of fuser source per static
+        instruction, and pasting the probe bodies into the templates
+        would take it to about 2,300."""
+        monkeypatch.setattr(blocks_mod, "_fuse_cache", {})
+        monkeypatch.setattr(blocks_mod, "_plan_cache",
+                            weakref.WeakKeyDictionary())
+        config = MachineConfig.hardbound(engine="superblocks")
+        program = compile_cached(WORKLOADS["treeadd"].source,
+                                 mode_for_config(config), True)
+        sources = count_fuser_compiles(monkeypatch)
+        run_workload("treeadd", config)
+        per_instr = (sum(len(src) for src in sources)
+                     / len(program.instrs))
+        assert 0 < per_instr < 1000, per_instr
 
 
 class TestFullRegistryEquivalence:

@@ -1,6 +1,7 @@
 """The obs report CLI over synthetic and real event streams."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,8 @@ from repro.obs.report import (
     runs_table,
     summarize,
 )
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 def synthetic_run(label, cycles=1000, dispatches=75, fallback=None,
@@ -165,6 +168,21 @@ class TestBenchTable:
         path = write_jsonl(tmp_path / "run.jsonl", synthetic_run("t"))
         with pytest.raises(SystemExit):
             report.main(["bench", path])
+
+    @pytest.mark.parametrize("doc", ["README.md", "docs/ARCHITECTURE.md"])
+    def test_doc_engine_table_is_rendered_from_record(self, doc):
+        """The engine tables in the docs are the committed record's
+        ``render_bench`` output, never copied by hand."""
+        record = json.loads((ROOT / "results" / "BENCH_engine.json")
+                            .read_text())
+        expected = render_bench(record)
+        header = expected.splitlines()[0]
+        lines = (ROOT / doc).read_text().splitlines()
+        start = lines.index(header)
+        end = start
+        while end < len(lines) and lines[end].startswith("|"):
+            end += 1
+        assert "\n".join(lines[start:end]) == expected
 
 
 class TestLoadArtifact:
