@@ -4,8 +4,9 @@ Not a paper figure — this tracks the simulator's own hot path across
 the three engines on the Olden sweep (plain + HardBound per
 workload):
 
-* the pre-decoded closure engine must stay at least 2x faster than
-  the legacy dispatch loop on the functional sweep;
+* the decoded engine (each instruction's template compiled as its
+  own closure) must stay at least 2x faster than the legacy dispatch
+  loop on the functional sweep;
 * the fused block engine (``superblocks``: every basic block one
   generated closure with the instruction bodies and the metadata
   paths inlined and the fast memory-timing charges calling the

@@ -58,7 +58,7 @@ import xml.etree.ElementTree as ET
 #: committed floor for the timed fast-vs-decoded speedup: the fused
 #: engine over the decoded engine on the warm timed Olden sweep.
 #: Host-independent: both engines run in the same process on the
-#: same machine.  The committed record measures 2.52x; the floor
+#: same machine.  The committed record measures 2.71x; the floor
 #: keeps a noise margin below it.
 FLOOR_TIMED_FAST_VS_DECODED = 2.2
 
@@ -91,14 +91,17 @@ FLOOR_OBS_OVERHEAD_RATIO = 0.98
 FLOOR_SERVICE_WARM_VS_COLD = 1.2
 
 #: test modules whose presence in the junit record proves the
-#: three-way engine differential, fast-model counter-identity and
-#: optimizer-differential suites ran in this build
+#: three-way engine differential, template totality, fast-model
+#: counter-identity, optimizer-differential and golden-figure suites
+#: ran in this build
 REQUIRED_SUITES = (
     "tests.machine.test_engine_differential",
     "tests.machine.test_blocks",
     "tests.machine.test_superblocks",
+    "tests.machine.test_templates",
     "tests.caches.test_fast",
     "tests.minic.test_optimizer",
+    "tests.harness.test_golden_figures",
 )
 
 #: test modules whose presence in the fuzz junit record proves the

@@ -53,9 +53,9 @@ bound as a local:
   :meth:`word_probe_parts` / :meth:`data_probe_parts` add the
   composite-MRU cells and counters a caller needs to inline the
   composite-hit path (two counter bumps) around the probe call.  The
-  fused block templates and the decoded closures they single-step
-  on both do exactly that, so every charge goes through the same
-  compiled probe.
+  instruction templates (:mod:`repro.machine.blocks`) do exactly
+  that, fused into blocks or compiled per instruction alike, so every
+  charge goes through the same compiled probe.
 
 Counters are **bit-identical** to :class:`MemorySystem`: the same
 accesses, TLB/L1/L2 misses, stall cycles and distinct pages per kind
@@ -634,8 +634,8 @@ class FastMemorySystem:
         """Probe for a plain 4-byte ``"data"`` access at an address.
 
         Compiled from :func:`_data_probe_lines` for this geometry;
-        the fused templates and the decoded closures call it whenever
-        their inlined composite hit misses (see
+        the instruction templates call it whenever their inlined
+        composite hit misses (see
         :meth:`data_probe_parts`).
         """
         (block_shift, page_shift, tlb_mask, tlb_assoc, l2_keys,

@@ -23,8 +23,9 @@ Two entry points:
 
 On top of the cross-engine diff, every run is checked against the
 frozen ``engine_stats`` schema (:mod:`repro.obs.schema`) and the
-full-coverage-template invariant: the fused engine must never fall
-back to decoded closures for memory-path shapes.
+template-coverage invariant: outside temporal runs the fused engine
+must never call a memory-path instruction as a per-instruction
+closure.
 """
 
 from __future__ import annotations
@@ -46,13 +47,11 @@ ENGINES = ("legacy", "decoded", "superblocks")
 #: call residue and are excluded from optimize-pair comparisons
 STACK_PAGE = (STACK_TOP - STACK_SIZE) >> PAGE_SHIFT
 
-#: instruction shapes the fused engine covers with source
-#: templates — seeing one in ``closure_fallback_ops`` means the
-#: memory path regressed to closure dispatch
-FUSED_MEMORY_OPS = frozenset({
-    "load", "loadh", "loadb", "store", "storeh", "storeb",
-    "setbound", "sbrk",
-})
+#: opcodes (``Op`` values) the fused engine always inlines outside
+#: temporal runs — seeing one in ``closure_fallback_ops`` means the
+#: memory path regressed to closure calls.  Loads and stores of every
+#: width are ``load``/``store``: the width travels in ``.size``
+FUSED_MEMORY_OPS = frozenset({"load", "store", "setbound", "sbrk"})
 
 
 @dataclasses.dataclass
@@ -156,9 +155,9 @@ def check_invariants(engine: str, outcome: Outcome, timing: bool,
                      temporal: bool = False) -> List[Divergence]:
     """Frozen-schema and template-coverage checks for one run.
 
-    ``temporal`` runs insert a per-access freed-word check that the
-    fuse templates don't model, so their memory ops legitimately run
-    as closures — the coverage invariant only applies without it.
+    Under ``temporal`` checking the fused engine calls word loads
+    and stores as per-instruction closures by design, so the
+    coverage invariant only applies without it.
     """
     out: List[Divergence] = []
     if outcome.status != "exit":

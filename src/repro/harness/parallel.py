@@ -44,11 +44,12 @@ from repro.harness.runner import (
 )
 from repro.machine.config import ENGINE_SUPERBLOCKS, ENGINES, MachineConfig
 from repro.obs.events import EventLog
+from repro.obs.manifest import code_digest
 from repro.obs.metrics import REGISTRY
 from repro.workloads.registry import WORKLOADS
 
-#: bump when cell payloads or simulator semantics change incompatibly
-#: (3: cell results carry their run manifest)
+#: bump when the cell payload format changes (3: cell results carry
+#: their run manifest); simulator code is keyed by ``code_digest``
 CACHE_SCHEMA = 3
 
 #: environment knob: workers append their obs JSONL event streams to
@@ -267,10 +268,11 @@ def _cell_config(kind: str, timing: bool, engine: str) -> MachineConfig:
 
 
 def _knob_descriptor(optimize: bool = True) -> dict:
-    """Compile knobs that change a cell's results: the ``optimize=``
-    compiler pass.  Part of every cache key so a cached cell can
-    never be served across knob (or knob-*default*) changes."""
-    return {"optimize": optimize}
+    """What changes a cell's results besides its own parameters: the
+    ``optimize=`` compiler pass and the simulator code.  Part of every
+    cache key so a cached cell can never be served across knob (or
+    knob-*default*) changes or by different simulator code."""
+    return {"optimize": optimize, "code": code_digest()}
 
 
 def cell_descriptor(workload: str, kind: str, timing: bool,

@@ -5,10 +5,11 @@ A manifest is a small JSON-safe dict attached to every
 emitted as the ``run_start`` event of an obs JSONL.  It answers the
 question a perf archaeologist asks first: *what exactly ran* —
 engine, safety mode, encoding, the full cache
-geometry, the source tree's git sha and the host that executed it.
+geometry, the simulator code's digest, the source tree's git sha and
+the host that executed it.
 
-Host and git identity are computed once per process (the git sha by
-reading ``.git/HEAD`` directly — no subprocess — so building a
+Host, git and code identity are computed once per process (the git
+sha by reading ``.git/HEAD`` directly — no subprocess — so building a
 manifest stays in the microsecond range and sweeps of thousands of
 cells can afford one per cell).
 """
@@ -16,12 +17,48 @@ cells can afford one per cell).
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import os
 import platform
 import sys
 from typing import Optional
 
 _static: Optional[dict] = None
+_code_digest: Optional[str] = None
+
+#: the parts of the ``repro`` package whose code decides what a
+#: simulation computes (the harness, service, fuzz and obs layers only
+#: schedule, store and report results)
+CODE_PARTS = ("machine", "caches", "hardbound", "metadata", "minic",
+              "isa", "baselines", "workloads", "layout.py")
+
+
+def code_digest() -> str:
+    """sha256 over the sources of :data:`CODE_PARTS`, in sorted path
+    order (computed once per process).
+
+    Part of every result-cache key and run manifest: a cached or
+    stored result computed by different simulator code never matches.
+    """
+    global _code_digest
+    if _code_digest is None:
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        paths = []
+        for part in CODE_PARTS:
+            path = os.path.join(root, part)
+            if part.endswith(".py"):
+                paths.append(path)
+                continue
+            for directory, _, files in os.walk(path):
+                paths.extend(os.path.join(directory, name)
+                             for name in files if name.endswith(".py"))
+        digest = hashlib.sha256()
+        for path in sorted(paths):
+            digest.update(os.path.relpath(path, root).encode())
+            with open(path, "rb") as fh:
+                digest.update(hashlib.sha256(fh.read()).digest())
+        _code_digest = digest.hexdigest()
+    return _code_digest
 
 
 def _read_git_sha() -> Optional[str]:
@@ -63,6 +100,7 @@ def _static_identity() -> dict:
             "host": platform.node(),
             "platform": platform.platform(),
             "python": "%d.%d.%d" % sys.version_info[:3],
+            "code_digest": code_digest(),
         }
     return _static
 

@@ -15,8 +15,8 @@ whole Olden sweep appended into one file):
   fallback single-steps),
 * a phase-time breakdown (decode / probe compile / CFG+fusion /
   execute),
-* the top-N instruction shapes the fused engine still runs as
-  decoded closures (closure fallbacks), summed over the runs.
+* the top-N opcodes the fused engine calls as per-instruction
+  closures (closure sites), summed over the runs.
 
 ``diff`` A/B-compares two artifacts of the *same* kind: either two
 obs JSONL files (per-label cycles/instructions/execute-seconds
@@ -155,9 +155,9 @@ def phase_table(runs: List[RunSummary]) -> str:
 
 
 def fallback_table(runs: List[RunSummary], top: int = 10) -> str:
-    """Top-N closure-fallback shapes: static instruction sites per
-    opcode the fused engine runs as decoded closures, summed over
-    every run."""
+    """Top-N closure sites: static instruction sites per opcode the
+    fused engine calls as per-instruction closures, summed over every
+    run."""
     sites: Dict[str, int] = {}
     for run in runs:
         for op, count in ((run.engine_stats or {})

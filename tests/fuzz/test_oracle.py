@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.fuzz.oracle import (
+    FUSED_MEMORY_OPS,
     Divergence,
     Outcome,
     check_invariants,
@@ -15,6 +16,7 @@ from repro.fuzz.oracle import (
     run_once,
 )
 from repro.isa.assembler import assemble
+from repro.isa.opcodes import Op
 from repro.machine.config import MachineConfig, SafetyMode
 
 
@@ -102,6 +104,11 @@ class TestInvariants:
         found = check_invariants("superblocks", outcome, False)
         assert any("closure_fallback_ops" in d.fields
                    for d in found)
+
+    def test_fused_memory_ops_are_opcodes(self):
+        """Every entry can match: ``closure_fallback_ops`` is keyed by
+        ``Op`` value, and sub-word accesses are ``load``/``store``."""
+        assert FUSED_MEMORY_OPS <= {op.value for op in Op}
 
     def test_temporal_runs_exempt_from_fallback_invariant(self):
         outcome = Outcome(status="exit", output="", icount=1, pc=1,

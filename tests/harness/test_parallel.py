@@ -205,6 +205,24 @@ class TestShardedSweeps:
         assert warm_cache.misses == 0
         assert warm == parallel
 
+    def test_changed_simulator_code_misses_every_cell(self, tmp_path,
+                                                      monkeypatch):
+        """A result cached by different simulator code is never
+        served: the code digest is part of every cell key."""
+        import repro.harness.parallel as parallel_mod
+        spec = SweepSpec(kind="objtable", workloads=["treeadd"],
+                         grid=[0.5])
+        cache = ResultCache(str(tmp_path / "cache"))
+        cold = run_sweep(spec, workers=1, cache=cache)
+        assert cache.misses == 2
+
+        monkeypatch.setattr(parallel_mod, "code_digest",
+                            lambda: "0" * 64)
+        warm_cache = ResultCache(str(tmp_path / "cache"))
+        assert run_sweep(spec, workers=1, cache=warm_cache) == cold
+        assert warm_cache.hits == 0
+        assert warm_cache.misses == 2
+
     def test_objtable_sweep_workers_delegation(self):
         names = ["treeadd"]
         fractions = [0.5]

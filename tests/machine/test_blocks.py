@@ -8,13 +8,13 @@ from repro.machine import CPU, MachineConfig
 from repro.machine.blocks import (
     MAX_BLOCK_LEN,
     BasicBlock,
-    build_cfg,
+    find_blocks,
     find_leaders,
 )
 
 
 def blocks_by_start(program):
-    return {block.start: block for block in build_cfg(program)}
+    return {block.start: block for block in find_blocks(program)}
 
 
 class TestLeaderDiscovery:
@@ -26,7 +26,7 @@ class TestLeaderDiscovery:
             halt r1
         """)
         assert find_leaders(program) == {0}
-        [block] = build_cfg(program)
+        [block] = find_blocks(program)
         assert (block.start, block.length) == (0, 3)
         assert block.succs == ()
 
@@ -51,7 +51,7 @@ class TestLeaderDiscovery:
     def test_self_loop_is_its_own_block(self):
         program = assemble("main:\n  jmp main\n")
         assert find_leaders(program) == {0}
-        [block] = build_cfg(program)
+        [block] = find_blocks(program)
         assert (block.start, block.length) == (0, 1)
         assert block.succs == (0,)
 
@@ -97,7 +97,7 @@ class TestLeaderDiscovery:
         done:
             halt r2
         """)
-        blocks = build_cfg(program)
+        blocks = find_blocks(program)
         covered = sorted(pc for block in blocks
                          for pc in range(block.start, block.end))
         assert covered == list(range(len(program.instrs)))
@@ -106,7 +106,7 @@ class TestLeaderDiscovery:
         body = "\n".join("  add r1, r1, 1"
                          for _ in range(MAX_BLOCK_LEN + 10))
         program = assemble("main:\n%s\n  halt r1\n" % body)
-        blocks = build_cfg(program)
+        blocks = find_blocks(program)
         assert len(blocks) == 2
         first, second = blocks
         assert first.length == MAX_BLOCK_LEN

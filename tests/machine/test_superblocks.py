@@ -200,6 +200,38 @@ class TestTraceTraps:
         # "add r1, r1, 4" and "jmp step" ran one by one
         assert cpu.engine_stats["fallback_steps"] == 2
 
+    def test_single_stepped_trap_after_block_dispatch(self):
+        """A five-instruction block dispatches, then a computed call
+        into a non-leader pc single-steps into a divide by zero: the
+        trap is charged one instruction, not the last block's length."""
+        from repro.machine import DivideByZeroError
+        program = assemble("""
+        main:
+            mov r1, 7
+            mov r2, 0
+            mov r5, 7
+            setcode r4, r5
+            callr r4
+            halt 0
+        other:
+            add r1, r1, 1
+            div r3, r1, r2
+            halt r3
+        """)
+        traps = {}
+        for engine in ENGINES:
+            cpu = CPU(program, MachineConfig.plain(
+                timing=False, engine=engine))
+            with pytest.raises(DivideByZeroError) as exc:
+                cpu.run()
+            traps[engine] = (str(exc.value), exc.value.pc,
+                             cpu.icount, cpu.pc)
+        assert traps["legacy"][1:] == (7, 6, 7)
+        for engine in ENGINES[1:]:
+            assert traps[engine] == traps["legacy"], engine
+        assert cpu.engine_stats["block_dispatches"] == 1
+        assert cpu.engine_stats["fallback_steps"] == 1
+
 
 class TestCrossCallTraces:
     """Hot loops that call and return."""
@@ -402,7 +434,7 @@ class TestFusionPlanCache:
         config = MachineConfig.hardbound(engine="superblocks")
         first = CPU(program, config).run()
         [plan] = blocks_mod._plan_cache[program].values()
-        assert len(plan.blocks) == len(blocks_mod.build_cfg(program))
+        assert len(plan.blocks) == len(blocks_mod.find_blocks(program))
 
         fuser_compiles = count_fuser_compiles(monkeypatch)
         cpu = CPU(program, config)
